@@ -15,9 +15,8 @@ Two implementations of the per-node terms (a1, a2, a3, b1, b2):
   order.
 
 The sweep is inherently sequential (each update reads rho1/rho2 written by
-the previous one), so it runs driver-side in numpy; the distributed piece
-is the one-off aggregate computation, mirrored in
-:func:`backward_aggregates_spark` for parity testing (DESIGN.md §5).
+the previous one), so it runs driver-side in numpy, aggregates included
+(DESIGN.md §5).
 
 ``b1`` uses the paper's k'/2 heuristic (Eq. 14) by default; ``exact_b1``
 switches to the exact value b1 = Y_v Λ Y_v^T − (w→_v X_v·Y_v)^2, which this
@@ -28,9 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 
 # ---------------------------------------------------------------------------
@@ -160,49 +156,6 @@ def forward_aggregates(X, Y, wf, wb, d_in) -> BackwardAggregates:
         rho1=(wf[:, None] * X).sum(axis=0),
         rho2=((wb**2 * wf * xy)[:, None] * Y).sum(axis=0),
         phi=(wb[:, None] ** 2 * Y**2).sum(axis=0),
-    )
-
-
-def backward_aggregates_spark(
-    spark: SparkSession, X, Y, wf, wb, d_out
-) -> BackwardAggregates:
-    """The same aggregates computed as Spark aggregations over a long-format
-    node table — parity-tested against :func:`backward_aggregates`."""
-    n, k2 = X.shape
-    rows = []
-    for j in range(k2):
-        rows.append(
-            pd.DataFrame(
-                {
-                    "j": j, "x": X[:, j], "y": Y[:, j],
-                    "wf": wf, "wb": wb, "dout": d_out,
-                    "xy": np.einsum("ij,ij->i", X, Y),
-                }
-            )
-        )
-    df = spark.createDataFrame(pd.concat(rows, ignore_index=True))
-    agg = (
-        df.groupBy("j")
-        .agg(
-            F.sum(F.col("dout") * F.col("wf") * F.col("x")).alias("xi"),
-            F.sum(F.col("wf") * F.col("x")).alias("chi"),
-            F.sum(F.col("wb") * F.col("y")).alias("rho1"),
-            F.sum(
-                F.col("wf") * F.col("wf") * F.col("wb") * F.col("xy") * F.col("x")
-            ).alias("rho2"),
-            F.sum(F.col("wf") * F.col("wf") * F.col("x") * F.col("x")).alias("phi"),
-        )
-        .toPandas()
-        .sort_values("j")
-    )
-    lam_np = (wf[:, None] ** 2 * X).T @ X  # k'xk' Gram — small, driver-side
-    return BackwardAggregates(
-        xi=agg["xi"].to_numpy(),
-        chi=agg["chi"].to_numpy(),
-        Lam=lam_np,
-        rho1=agg["rho1"].to_numpy(),
-        rho2=agg["rho2"].to_numpy(),
-        phi=agg["phi"].to_numpy(),
     )
 
 

@@ -5,9 +5,12 @@ Two views of the same graph:
 * :class:`LocalGraph` — numpy arrays on the driver. This is the reference
   ("oracle") representation used by the local backends and by inherently
   driver-side steps (edge splits, walk sampling, coordinate descent).
-* :class:`SparkGraph` — a Spark DataFrame of arcs plus DataFrame helpers
-  (degrees, transition probabilities). All distributed iterative compute
-  (PPR power iterations, Krylov matvecs) runs against this view.
+* :class:`SparkGraph` — a Spark view of the same graph. Its matvecs
+  (``spmv``, ``spmv_t``, ``pmv``, used by BKSVD and ApproxPPR) broadcast
+  the driver-side X and collect per-block segment sums from CSR row blocks
+  cached as an RDD; they return the same bits as the ``LocalGraph`` ones.
+  An arc DataFrame with helpers (degrees, transition probabilities) serves
+  the pregel-style PPR power iteration of :mod:`repro.ppr.power`.
 
 Conventions
 -----------
@@ -21,9 +24,11 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
+from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -43,6 +48,41 @@ def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
     key = e[:, 0] * np.int64(n) + e[:, 1]
     _, idx = np.unique(key, return_index=True)
     return e[np.sort(idx)]
+
+
+def _make_segment_sum():
+    # Built inside a function so that cloudpickle ships it to Spark workers
+    # by value: a module-level function is pickled by reference, and the
+    # workers cannot import ``repro``. It may therefore reference numpy only.
+    def segment_sum(
+        X: np.ndarray, indptr: np.ndarray, indices: np.ndarray
+    ) -> np.ndarray:
+        """Per-row sums of X[indices] over CSR segments (reduceat: much
+        faster than np.add.at for the m*k-sized gathers here)."""
+        out = np.zeros((indptr.size - 1, X.shape[1]))
+        rows = np.diff(indptr) > 0
+        if not rows.any():
+            return out
+        starts = indptr[:-1][rows]
+        # block columns so the m x k gather stays within ~400 MB
+        blk = max(1, int(5e7 // max(indices.size, 1)))
+        for lo in range(0, X.shape[1], blk):
+            contrib = X[indices, lo : lo + blk]
+            out[rows, lo : lo + blk] = np.add.reduceat(contrib, starts, axis=0)
+        return out
+
+    return segment_sum
+
+
+#: The one CSR product kernel, shared by ``LocalGraph`` and the row blocks
+#: of ``SparkGraph``.
+segment_sum = _make_segment_sum()
+
+
+def _row_divisor(d_out: np.ndarray) -> np.ndarray:
+    """Column of out-degrees for ``P = D^-1 A``; dangling rows, whose sums
+    are zero, divide by 1."""
+    return np.where(d_out > 0, d_out, 1.0)[:, None]
 
 
 @dataclass
@@ -119,25 +159,6 @@ class LocalGraph:
         d[d == 0] = 1.0
         return A / d[:, None]
 
-    def _segment_sum(
-        self, X: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Per-row sums of X[indices] over CSR segments (reduceat: much
-        faster than np.add.at for the m*k-sized gathers here)."""
-        out = np.zeros((self.n, X.shape[1]))
-        deg = np.diff(indptr)
-        rows = deg > 0
-        if not rows.any():
-            return out
-        starts = indptr[:-1][rows]
-        k = X.shape[1]
-        # block columns so the m x k gather stays within ~400 MB
-        blk = max(1, int(5e7 // max(indices.size, 1)))
-        for lo in range(0, k, blk):
-            contrib = X[indices, lo : lo + blk]
-            out[rows, lo : lo + blk] = np.add.reduceat(contrib, starts, axis=0)
-        return out
-
     def spmv(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """``A @ X`` (or weighted-arc product) without materializing A.
 
@@ -150,21 +171,17 @@ class LocalGraph:
             out = np.zeros((self.n, X.shape[1]))
             np.add.at(out, a[:, 0], X[a[:, 1]] * weights[:, None])
             return out
-        indptr, indices = self.csr()
-        return self._segment_sum(X, indptr, indices)
+        return segment_sum(X, *self.csr())
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:
         """``A.T @ X``."""
         X = np.atleast_2d(X.T).T
-        indptr, indices = self.csr_t()
-        return self._segment_sum(X, indptr, indices)
+        return segment_sum(X, *self.csr_t())
 
     def pmv(self, X: np.ndarray) -> np.ndarray:
         """``P @ X`` with P the transition matrix (dangling rows -> 0):
         the uniform arc weight 1/d_out(u) factors out of each row sum."""
-        d = self.d_out.copy()
-        d[d == 0] = 1.0
-        return self.spmv(X) / d[:, None]
+        return self.spmv(X) / _row_divisor(self.d_out)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) adjacency in CSR form for walk sampling."""
@@ -199,25 +216,77 @@ class LocalGraph:
 
 
 class SparkGraph:
-    """Spark DataFrame view of a :class:`LocalGraph`.
+    """Spark view of a :class:`LocalGraph`: a matvec provider plus an arc
+    DataFrame.
 
-    ``arcs`` is a cached DataFrame ``(src: long, dst: long)``; helper methods
-    return pure DataFrame results so every one is checkable against the
-    DuckDB oracle.
+    The matvecs ``spmv``, ``spmv_t`` and ``pmv`` have the signatures of the
+    unweighted ``LocalGraph`` ones and return the same bits. The CSR
+    adjacency and its transpose are cut once into arc-balanced row blocks,
+    one per ``defaultParallelism``, and cached as RDDs. Each product
+    broadcasts the driver-side X (n x k, the size of its output), maps
+    :func:`segment_sum` over the blocks, collects the block results in row
+    order, and destroys the broadcast.
+
+    ``arcs`` is a cached DataFrame ``(src: long, dst: long)``, built on
+    first use; the helper methods return pure DataFrame results so every
+    one is checkable against the DuckDB oracle. :meth:`unpersist` releases
+    the cached blocks and arcs.
     """
 
-    def __init__(self, spark: SparkSession, local: LocalGraph, num_partitions: int | None = None):
+    def __init__(self, spark: SparkSession, local: LocalGraph):
         self.spark = spark
         self.local = local
         self.n = local.n
         self.directed = local.directed
-        a = local.arcs
+        self._blocks = self._cache_blocks(*local.csr())
+        self._blocks_t = self._cache_blocks(*local.csr_t())
+
+    def _cache_blocks(self, indptr: np.ndarray, indices: np.ndarray) -> RDD:
+        """RDD of (indptr, indices) row blocks with about equal arc counts;
+        block indptr arrays start at 0."""
+        sc = self.spark.sparkContext
+        parts = sc.defaultParallelism
+        cuts = np.searchsorted(indptr, indices.size * np.arange(1, parts) / parts)
+        bounds = np.concatenate([[0], cuts, [self.n]])
+        blocks = [
+            (indptr[lo : hi + 1] - indptr[lo], indices[indptr[lo] : indptr[hi]])
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+        return sc.parallelize(blocks, len(blocks)).cache()
+
+    def _product(self, blocks: RDD, X: np.ndarray) -> np.ndarray:
+        X = np.atleast_2d(X.T).T
+        bX = self.spark.sparkContext.broadcast(X)
+
+        def run(part):
+            for indptr, indices in part:
+                yield segment_sum(bX.value, indptr, indices)
+
+        try:
+            return np.concatenate(blocks.mapPartitions(run).collect())
+        finally:
+            bX.destroy()
+
+    def spmv(self, X: np.ndarray) -> np.ndarray:
+        """``A @ X``."""
+        return self._product(self._blocks, X)
+
+    def spmv_t(self, X: np.ndarray) -> np.ndarray:
+        """``A.T @ X``."""
+        return self._product(self._blocks_t, X)
+
+    def pmv(self, X: np.ndarray) -> np.ndarray:
+        """``P @ X`` with P the transition matrix (dangling rows -> 0)."""
+        return self.spmv(X) / _row_divisor(self.local.d_out)
+
+    @cached_property
+    def arcs(self) -> DataFrame:
+        """Cached ``(src, dst)`` DataFrame of the arcs."""
+        a = self.local.arcs
         pdf = pd.DataFrame({"src": a[:, 0], "dst": a[:, 1]})
-        df = spark.createDataFrame(pdf)
-        if num_partitions:
-            df = df.repartition(num_partitions, "dst")
-        self.arcs: DataFrame = df.cache()
-        self.arcs.count()  # materialize
+        df = self.spark.createDataFrame(pdf).cache()
+        df.count()  # materialize
+        return df
 
     def out_degrees(self) -> DataFrame:
         """(id, d_out) for every node, including zero-out-degree nodes."""
@@ -250,4 +319,7 @@ class SparkGraph:
         )
 
     def unpersist(self) -> None:
-        self.arcs.unpersist()
+        self._blocks.unpersist()
+        self._blocks_t.unpersist()
+        if "arcs" in self.__dict__:
+            self.arcs.unpersist()

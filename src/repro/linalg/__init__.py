@@ -1,3 +1,4 @@
-"""Distributed linear algebra over Spark DataFrames (long-format matrices,
-randomized block-Krylov SVD) plus numpy reference backends."""
+"""Randomized block-Krylov SVD over matvec callables, plus long-format
+DataFrame matrices (no longer on the NRP path; kept for their tests and the
+benchmark tracer)."""
 from repro.linalg.longmat import LongMatrix  # noqa: F401

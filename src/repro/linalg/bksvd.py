@@ -2,12 +2,11 @@
 
 Used by ApproxPPR (paper Algorithm 1, line 1) to factorize the adjacency
 matrix A ~= U S V^T with a (1+eps) spectral-norm guarantee. The matrix is
-touched only through matvecs, so the same algorithm runs on two backends:
-
-* :func:`bksvd_local`  — numpy matvec callables (reference oracle);
-* :func:`bksvd_spark`  — arcs as a Spark DataFrame, Krylov blocks as
-  :class:`~repro.linalg.longmat.LongMatrix`; every A-product is a
-  join+groupBy superstep, all small (k x k) algebra stays on the driver.
+touched only through matvecs, so one algorithm, :func:`bksvd_local`, serves
+both backends; :func:`bksvd_spark` runs it over the matvecs of a
+:class:`~repro.graphs.edgelist.SparkGraph`, where every A-product is one
+broadcast-and-collect Spark job over cached CSR row blocks. The Krylov
+blocks and all small (k x k) algebra stay on the driver.
 
 Algorithm (square A, n x n): draw Gaussian Omega (n x b); build the Krylov
 block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om]; orthonormalize to Q;
@@ -19,11 +18,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-
-from repro.linalg.longmat import LongMatrix
 
 
 def default_q(n: int, eps: float, k: int) -> int:
@@ -101,50 +95,9 @@ def bksvd_local(
 
 
 def bksvd_spark(
-    spark: SparkSession,
-    arcs: DataFrame,
-    n: int,
-    k: int,
-    *,
-    eps: float = 0.2,
-    q: int | None = None,
-    seed: int = 0,
+    sg, k: int, *, eps: float = 0.2, q: int | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distributed BKSVD over an arc DataFrame (src, dst). A[u, v] = 1 iff
-    arc (u, v) exists. Embedding-sized outputs are collected to numpy."""
-    q = default_q(n, eps, k) if q is None else q
-    rng = np.random.default_rng(seed)
-    arcs_t = arcs.select(
-        F.col("dst").alias("src"), F.col("src").alias("dst")
-    ).cache()
-
-    def mv(x: LongMatrix) -> LongMatrix:
-        return x.spmm(arcs, n).checkpoint()
-
-    def rmv(x: LongMatrix) -> LongMatrix:
-        return x.spmm(arcs_t, n).checkpoint()
-
-    def _normalize(b: LongMatrix) -> LongMatrix:
-        # per-block scaling, as in the local backend, to keep the Krylov
-        # Gram well-conditioned; the Frobenius norm is a tiny Gram trace
-        s = float(np.sqrt(max(np.trace(b.gram(b)), 0.0)))
-        return b.scale(1.0 / s).checkpoint() if s > 0 else b
-
-    omega = LongMatrix.from_numpy(spark, rng.standard_normal((n, k)))
-    block = _normalize(mv(omega))
-    K = block
-    for _ in range(q):
-        block = _normalize(mv(rmv(block)))
-        K = K.hstack(block)
-    K = K.checkpoint()
-    W, _ = _whiten(K.gram(K))  # Gram computed distributed
-    Q = K.mm_small(spark, W).checkpoint()
-    T = rmv(Q)
-    Wr = _ritz(T.gram(T), k)
-    U = Q.mm_small(spark, Wr).checkpoint()
-    R = rmv(U)
-    W2, sig, Vmul = _final_svd(R.gram(R), k)
-    U_np = U.to_numpy() @ W2
-    V_np = R.to_numpy() @ Vmul
-    arcs_t.unpersist()
-    return U_np, sig, V_np
+    """BKSVD of a :class:`~repro.graphs.edgelist.SparkGraph`'s adjacency
+    (A[u, v] = 1 iff arc (u, v) exists): :func:`bksvd_local` over its Spark
+    matvecs, so the result equals the local one bit for bit."""
+    return bksvd_local(sg.spmv, sg.spmv_t, sg.n, k, eps=eps, q=q, seed=seed)

@@ -4,8 +4,7 @@ An ``n x k`` dense matrix (node embeddings, Krylov blocks) is a DataFrame
 ``(i: long, j: int, v: double)``. ``k`` is small (<= a few hundred) while
 ``n`` is large, so every op below is a Catalyst join/aggregation:
 
-* ``spmm(arcs, X)``       — sparse adjacency times dense: one join + groupBy;
-  this is the pregel-style superstep every iterative algorithm here uses.
+* ``spmm(arcs, X)``       — sparse adjacency times dense: one join + groupBy.
 * ``gram(X, Y) = X^T Y``  — k x k' aggregate collected to the driver.
 * ``mm_small(X, W)``      — dense times a small driver-side matrix.
 
@@ -13,6 +12,10 @@ Zero rows are kept implicit: a node with no entries is a zero row;
 ``to_numpy`` fills it in. ``checkpoint()`` truncates lineage between
 iterations (localCheckpoint), which is what keeps 20-iteration PPR plans
 from blowing up the optimizer.
+
+NRP no longer uses this module: its Spark matvecs are the
+broadcast-and-collect products of :class:`repro.graphs.edgelist.SparkGraph`.
+It is kept for its own tests and for the benchmark's tracer.
 """
 from __future__ import annotations
 

@@ -98,3 +98,25 @@ def test_spark_backend_requires_session():
         approxppr(g, 2, backend="spark")
     with pytest.raises(ValueError):
         approxppr(g, 2, backend="nope")
+
+
+@pytest.mark.parametrize("edges, n", [
+    # n = 3 is below defaultParallelism on 4+ cores: some blocks are empty;
+    # node 1 is dangling, node 2 isolated
+    ([[0, 1]], 3),
+    # hub-and-spokes plus isolated nodes: empty and all-zero-row blocks
+    ([[0, v] for v in range(1, 12)] + [[3, 4], [5, 0]], 15),
+])
+def test_spark_backend_bit_identical_degenerate(spark, edges, n):
+    g = LocalGraph.from_edges(np.array(edges), n, directed=True)
+    Xl, Yl = approxppr(g, 2, l1=6, seed=3, backend="local")
+    Xs, Ys = approxppr(g, 2, l1=6, seed=3, backend="spark", spark=spark)
+    assert np.array_equal(Xs, Xl) and np.array_equal(Ys, Yl)
+
+
+def test_spark_backend_leaves_no_cached_rdds(spark):
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    approxppr(erdos_renyi(30, 90, seed=2), 3, l1=4, q=2, backend="spark",
+              spark=spark)
+    assert jsc.getPersistentRDDs().size() == before

@@ -60,7 +60,7 @@ def test_bksvd_spark_matches_local(spark):
     sg = SparkGraph(spark, g)
     A = g.adjacency()
     U_l, s_l, V_l = bksvd_local(*_dense_mv(A), g.n, 2, q=6, seed=0)
-    U_s, s_s, V_s = bksvd_spark(spark, sg.arcs, g.n, 2, q=6, seed=0)
+    U_s, s_s, V_s = bksvd_spark(sg, 2, q=6, seed=0)
     # same algorithm, same seed: singular values agree tightly; factors up to sign
     np.testing.assert_allclose(s_s, s_l, rtol=1e-6)
     np.testing.assert_allclose(
@@ -73,7 +73,7 @@ def test_bksvd_spark_reconstruction(spark):
     g = erdos_renyi(30, 120, directed=True, seed=5)
     sg = SparkGraph(spark, g)
     A = g.adjacency()
-    U, s, V = bksvd_spark(spark, sg.arcs, 30, 4, q=6, seed=2)
+    U, s, V = bksvd_spark(sg, 4, q=6, seed=2)
     exact = np.linalg.svd(A, compute_uv=False)
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
     assert err <= 1.3 * exact[4] + 1e-8

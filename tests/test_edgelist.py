@@ -1,7 +1,15 @@
 """Graph substrate: canonicalization, degrees, transition, matvec oracles."""
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pandas as pd
 import pytest
+
+from pyspark import RDD, cloudpickle
+from pyspark.core.broadcast import Broadcast
 
 from repro.graphs.edgelist import LocalGraph, SparkGraph, canonical_edges
 from repro.graphs.generators import (
@@ -192,3 +200,92 @@ def test_spark_transpose_arcs(spark):
         g.edges[:, ::-1].tolist()
     )
     sg.unpersist()
+
+
+# ------------------------------------------------------- SparkGraph matvecs
+def _star_with_isolated():
+    # hub 0 holds every out-arc, so arc-balanced cuts leave empty blocks and
+    # blocks of all-zero rows; nodes 20..22 have no arcs at all
+    leaves = np.arange(1, 20)
+    edges = np.stack([np.zeros_like(leaves), leaves], axis=1)
+    return LocalGraph.from_edges(edges, 23, directed=True)
+
+
+@pytest.mark.parametrize("k", [1, 5])
+def test_spark_matvecs_bit_identical(spark, k):
+    rng = np.random.default_rng(k)
+    for g in (_star_with_isolated(), erdos_renyi(50, 300, directed=True, seed=1)):
+        sg = SparkGraph(spark, g)
+        X = rng.standard_normal((g.n, k))
+        for name in ("spmv", "spmv_t", "pmv"):
+            got = getattr(sg, name)(X)
+            assert np.array_equal(got, getattr(g, name)(X)), name
+        assert np.array_equal(sg.spmv(X[:, 0]), g.spmv(X[:, 0]))
+        sg.unpersist()
+
+
+def test_spark_graph_unpersist_releases_blocks(spark):
+    jsc = spark.sparkContext._jsc
+    before = jsc.getPersistentRDDs().size()
+    g = ring(12)
+    sg = SparkGraph(spark, g)
+    sg.spmv(np.ones((g.n, 2)))
+    sg.out_degrees().count()  # builds the cached arc DataFrame too
+    assert jsc.getPersistentRDDs().size() > before
+    sg.unpersist()
+    assert jsc.getPersistentRDDs().size() == before
+
+
+_WORKER = """
+import pickle, sys
+import numpy as np
+from pyspark import cloudpickle
+from pyspark.core import broadcast
+
+try:
+    import repro  # noqa: F401
+    sys.exit("repro is importable; the check would prove nothing")
+except ImportError:
+    pass
+with open(sys.argv[1], "rb") as f:
+    payload, bid, X, block = pickle.load(f)
+# a worker registers each broadcast's value before it unpickles the function
+broadcast._broadcastRegistry[bid] = type("B", (), {"value": X})()
+run = cloudpickle.loads(payload)
+np.save(sys.argv[2], np.concatenate(list(run(iter([block])))))
+"""
+
+
+def test_spark_matvec_ships_without_repro(spark, monkeypatch, tmp_path):
+    # Spark workers may lack ``src`` on their path: the function a product
+    # ships must unpickle and run where ``repro`` cannot be imported
+    shipped = []
+    map_partitions = RDD.mapPartitions
+
+    def spy(self, f, *args, **kwargs):
+        cells = [c.cell_contents for c in f.__closure__ or ()]
+        bid = next(c._jbroadcast.id() for c in cells if isinstance(c, Broadcast))
+        shipped.append((cloudpickle.dumps(f), bid))
+        return map_partitions(self, f, *args, **kwargs)
+
+    monkeypatch.setattr(RDD, "mapPartitions", spy)
+    g = erdos_renyi(40, 200, directed=True, seed=2)
+    sg = SparkGraph(spark, g)
+    X = np.random.default_rng(0).standard_normal((g.n, 3))
+    want = sg.spmv(X)
+    blocks = sg._blocks.collect()
+    sg.unpersist()
+    (payload, bid), = shipped
+    # the block with the most arcs, and the rows it covers
+    i = max(range(len(blocks)), key=lambda b: blocks[b][1].size)
+    lo = sum(b[0].size - 1 for b in blocks[:i])
+    rows = slice(lo, lo + blocks[i][0].size - 1)
+    with open(tmp_path / "in.pkl", "wb") as f:
+        pickle.dump((payload, bid, X, blocks[i]), f)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WORKER, "in.pkl", "out.npy"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert np.array_equal(np.load(tmp_path / "out.npy"), want[rows])

@@ -7,7 +7,6 @@ import pytest
 from repro.core.approxppr import approxppr
 from repro.core.reweight import (
     backward_aggregates,
-    backward_aggregates_spark,
     forward_aggregates,
     naive_backward_terms,
     naive_forward_terms,
@@ -227,14 +226,3 @@ def test_chunked_matches_sequential_quality():
     )
     corr = np.corrcoef(seq, chk)[0, 1]
     assert corr > 0.95
-
-
-def test_aggregates_spark_parity(spark, setup):
-    X, Y, wf, wb, d_out, d_in = setup
-    a_np = backward_aggregates(X, Y, wf, wb, d_out)
-    a_sp = backward_aggregates_spark(spark, X, Y, wf, wb, d_out)
-    for field in ("xi", "chi", "rho1", "rho2", "phi"):
-        np.testing.assert_allclose(
-            getattr(a_sp, field), getattr(a_np, field), atol=1e-9
-        )
-    np.testing.assert_allclose(a_sp.Lam, a_np.Lam, atol=1e-9)
