@@ -83,3 +83,19 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def broadcasts(monkeypatch) -> list:
+    """Every Spark broadcast the test creates, in creation order."""
+    from pyspark import SparkContext
+
+    made = []
+    broadcast = SparkContext.broadcast
+
+    def spy(self, value):
+        made.append(broadcast(self, value))
+        return made[-1]
+
+    monkeypatch.setattr(SparkContext, "broadcast", spy)
+    return made

@@ -8,18 +8,17 @@ Factorizes the truncated PPR matrix Pi' (Eq. 3) without materializing it:
 4. ``X = alpha (1-alpha) X_{l1}``                           (line 5)
 
 so that ``X Y^T ~= Pi'`` within the Theorem 1 bound. The algorithm exists
-once and touches A and P only through a matvec provider; the backend picks
-the provider. ``local`` uses the :class:`LocalGraph` itself (numpy CSR
-products); ``spark`` uses a :class:`SparkGraph`, whose every product is one
-Spark job that broadcasts X and collects segment sums over cached CSR row
-blocks. Both providers return the same bits, so both backends return the
-same X and Y, as numpy (n, k') matrices — the embedding is the output
-artifact and is driver-sized by construction (O(n k') is the paper's own
-space budget for the result).
+once and touches A and P only through a product provider; the backend
+picks the provider. ``local`` uses the :class:`LocalGraph` itself (numpy
+CSR products); ``spark`` uses a :class:`SparkGraph`, which broadcasts the
+graph once and runs each column-separable chain as one Spark job over
+column slices of X. Every column of X evolves on its own in lines 3-5, so
+the whole loop is one such chain. Both providers return the same bits, so
+both backends return the same X and Y, as numpy (n, k') matrices — the
+embedding is the output artifact and is driver-sized by construction
+(O(n k') is the paper's own space budget for the result).
 """
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -28,26 +27,38 @@ from repro.graphs.edgelist import LocalGraph, SparkGraph
 from repro.linalg.bksvd import bksvd_local, bksvd_spark
 
 
+def make_ppr_loop(alpha: float, l1: int):
+    """Lines 3-5 as a column-separable function ``ppr_loop(ops, X_1)``.
+
+    Built inside a function so that cloudpickle ships it to Spark workers
+    by value; it may reference numpy only (see repro.graphs.edgelist)."""
+
+    def ppr_loop(ops, X1: np.ndarray) -> np.ndarray:
+        X = X1
+        for _ in range(2, l1 + 1):
+            X = (1.0 - alpha) * ops.pmv(X) + X1
+        return alpha * (1.0 - alpha) * X
+
+    return ppr_loop
+
+
 def _power(
     g: LocalGraph,
-    pmv: Callable[[np.ndarray], np.ndarray],
+    provider: LocalGraph | SparkGraph,
     U: np.ndarray,
     sig: np.ndarray,
     V: np.ndarray,
     alpha: float,
     l1: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lines 2-5, with ``pmv(X) = P @ X``."""
+    """Lines 2-5, with lines 3-5 run by ``provider.columns``."""
     # line 2: X_1 = D^-1 U sqrt(S), Y = V sqrt(S); dangling rows -> 0
     root = np.sqrt(np.clip(sig, 0.0, None))
     d = g.d_out
     dinv = np.where(d > 0, 1.0 / np.maximum(d, 1.0), 0.0)
     X1 = dinv[:, None] * U * root[None, :]
     Y = V * root[None, :]
-    X = X1.copy()
-    for _ in range(2, l1 + 1):
-        X = (1.0 - alpha) * pmv(X) + X1
-    return alpha * (1.0 - alpha) * X, Y
+    return provider.columns(make_ppr_loop(alpha, l1), X1), Y
 
 
 def approxppr(
@@ -70,7 +81,7 @@ def approxppr(
         U, sig, V = bksvd_local(
             g.spmv, g.spmv_t, g.n, k2, eps=eps, q=q, seed=seed
         )
-        return _power(g, g.pmv, U, sig, V, alpha, l1)
+        return _power(g, g, U, sig, V, alpha, l1)
     if backend != "spark":
         raise ValueError(f"unknown backend {backend!r}")
     if spark is None:
@@ -79,7 +90,7 @@ def approxppr(
     sg = sg or SparkGraph(spark, g)
     try:
         U, sig, V = bksvd_spark(sg, k2, eps=eps, q=q, seed=seed)
-        return _power(g, sg.pmv, U, sig, V, alpha, l1)
+        return _power(g, sg, U, sig, V, alpha, l1)
     finally:
         if own_sg:
             sg.unpersist()

@@ -5,12 +5,20 @@ Two views of the same graph:
 * :class:`LocalGraph` — numpy arrays on the driver. This is the reference
   ("oracle") representation used by the local backends and by inherently
   driver-side steps (edge splits, walk sampling, coordinate descent).
-* :class:`SparkGraph` — a Spark view of the same graph. Its matvecs
-  (``spmv``, ``spmv_t``, ``pmv``, used by BKSVD and ApproxPPR) broadcast
-  the driver-side X and collect per-block segment sums from CSR row blocks
-  cached as an RDD; they return the same bits as the ``LocalGraph`` ones.
+* :class:`SparkGraph` — a Spark view of the same graph. It broadcasts the
+  CSR adjacency, its transpose and the row divisor of P once; each
+  :meth:`SparkGraph.columns` call is one Spark job that runs a whole
+  column-separable function (one product, a Krylov step, the PPR loop) on
+  column slices of X and returns the same bits as the ``LocalGraph`` run.
   An arc DataFrame with helpers (degrees, transition probabilities) serves
   the pregel-style PPR power iteration of :mod:`repro.ppr.power`.
+
+Both graphs are *product providers*: ``columns(fn, X)`` runs
+``fn(ops, X)``, where ``ops`` has ``spmv``/``spmv_t``/``pmv``. Every column
+of the result depends only on the same column of X, so ``fn`` may run on
+any split of X's columns. A function shipped to Spark must reference numpy
+only (workers cannot import ``repro``), so each is built inside a factory
+function, which makes cloudpickle ship it by value.
 
 Conventions
 -----------
@@ -25,10 +33,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import pandas as pd
-from pyspark import RDD
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
@@ -74,9 +82,34 @@ def _make_segment_sum():
     return segment_sum
 
 
-#: The one CSR product kernel, shared by ``LocalGraph`` and the row blocks
+#: The one CSR product kernel, shared by ``LocalGraph`` and the Spark tasks
 #: of ``SparkGraph``.
 segment_sum = _make_segment_sum()
+
+
+def _make_csr_products():
+    # Built inside a function for the reason given in _make_segment_sum:
+    # every Spark task builds one from the graph broadcast.
+    class CSRProducts:
+        """The unweighted ``LocalGraph`` products over fixed CSR arrays;
+        the ``ops`` a column-separable function gets in a Spark task."""
+
+        def __init__(self, csr, csr_t, divisor):
+            self.csr, self.csr_t, self.divisor = csr, csr_t, divisor
+
+        def spmv(self, X: np.ndarray) -> np.ndarray:
+            return segment_sum(X, *self.csr)
+
+        def spmv_t(self, X: np.ndarray) -> np.ndarray:
+            return segment_sum(X, *self.csr_t)
+
+        def pmv(self, X: np.ndarray) -> np.ndarray:
+            return self.spmv(X) / self.divisor
+
+    return CSRProducts
+
+
+CSRProducts = _make_csr_products()
 
 
 def _row_divisor(d_out: np.ndarray) -> np.ndarray:
@@ -183,6 +216,11 @@ class LocalGraph:
         the uniform arc weight 1/d_out(u) factors out of each row sum."""
         return self.spmv(X) / _row_divisor(self.d_out)
 
+    def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
+        """``fn(self, X)``: the in-process run of a column-separable
+        function (see :meth:`SparkGraph.columns`)."""
+        return fn(self, X)
+
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) adjacency in CSR form for walk sampling."""
         if "csr" not in self._cache:
@@ -216,21 +254,21 @@ class LocalGraph:
 
 
 class SparkGraph:
-    """Spark view of a :class:`LocalGraph`: a matvec provider plus an arc
+    """Spark view of a :class:`LocalGraph`: a product provider plus an arc
     DataFrame.
 
-    The matvecs ``spmv``, ``spmv_t`` and ``pmv`` have the signatures of the
-    unweighted ``LocalGraph`` ones and return the same bits. The CSR
-    adjacency and its transpose are cut once into arc-balanced row blocks,
-    one per ``defaultParallelism``, and cached as RDDs. Each product
-    broadcasts the driver-side X (n x k, the size of its output), maps
-    :func:`segment_sum` over the blocks, collects the block results in row
-    order, and destroys the broadcast.
+    The CSR adjacency, its transpose and the row divisor of P are broadcast
+    once, so each executor holds one copy of CSR and CSR^T. A
+    :meth:`columns` call is one Spark job: it ships column slices of X, each
+    task runs the whole function on its slice over the broadcast arrays,
+    and the driver stacks the slices. ``spmv`` and ``spmv_t`` are single
+    products with the signatures of the unweighted ``LocalGraph`` ones;
+    every result has the same bits as the in-process run.
 
     ``arcs`` is a cached DataFrame ``(src: long, dst: long)``, built on
     first use; the helper methods return pure DataFrame results so every
-    one is checkable against the DuckDB oracle. :meth:`unpersist` releases
-    the cached blocks and arcs.
+    one is checkable against the DuckDB oracle. :meth:`unpersist` destroys
+    the graph broadcast and releases the arcs.
     """
 
     def __init__(self, spark: SparkSession, local: LocalGraph):
@@ -238,46 +276,35 @@ class SparkGraph:
         self.local = local
         self.n = local.n
         self.directed = local.directed
-        self._blocks = self._cache_blocks(*local.csr())
-        self._blocks_t = self._cache_blocks(*local.csr_t())
+        self._graph = spark.sparkContext.broadcast(
+            (local.csr(), local.csr_t(), _row_divisor(local.d_out))
+        )
 
-    def _cache_blocks(self, indptr: np.ndarray, indices: np.ndarray) -> RDD:
-        """RDD of (indptr, indices) row blocks with about equal arc counts;
-        block indptr arrays start at 0."""
-        sc = self.spark.sparkContext
-        parts = sc.defaultParallelism
-        cuts = np.searchsorted(indptr, indices.size * np.arange(1, parts) / parts)
-        bounds = np.concatenate([[0], cuts, [self.n]])
-        blocks = [
-            (indptr[lo : hi + 1] - indptr[lo], indices[indptr[lo] : indptr[hi]])
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        return sc.parallelize(blocks, len(blocks)).cache()
-
-    def _product(self, blocks: RDD, X: np.ndarray) -> np.ndarray:
+    def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
+        """``fn(ops, X)`` for a column-separable ``fn``, as one Spark job
+        over at most ``defaultParallelism`` non-empty column slices of X;
+        ``ops`` is a :class:`CSRProducts` over the graph broadcast."""
         X = np.atleast_2d(X.T).T
-        bX = self.spark.sparkContext.broadcast(X)
+        sc = self.spark.sparkContext
+        parts = max(1, min(sc.defaultParallelism, X.shape[1]))
+        graph = self._graph
 
         def run(part):
-            for indptr, indices in part:
-                yield segment_sum(bX.value, indptr, indices)
+            ops = CSRProducts(*graph.value)
+            for X_slice in part:
+                yield fn(ops, X_slice)
 
-        try:
-            return np.concatenate(blocks.mapPartitions(run).collect())
-        finally:
-            bX.destroy()
+        slices = np.array_split(X, parts, axis=1)
+        rdd = sc.parallelize(slices, parts)
+        return np.hstack(rdd.mapPartitions(run).collect())
 
     def spmv(self, X: np.ndarray) -> np.ndarray:
         """``A @ X``."""
-        return self._product(self._blocks, X)
+        return self.columns(CSRProducts.spmv, X)
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:
         """``A.T @ X``."""
-        return self._product(self._blocks_t, X)
-
-    def pmv(self, X: np.ndarray) -> np.ndarray:
-        """``P @ X`` with P the transition matrix (dangling rows -> 0)."""
-        return self.spmv(X) / _row_divisor(self.local.d_out)
+        return self.columns(CSRProducts.spmv_t, X)
 
     @cached_property
     def arcs(self) -> DataFrame:
@@ -319,7 +346,6 @@ class SparkGraph:
         )
 
     def unpersist(self) -> None:
-        self._blocks.unpersist()
-        self._blocks_t.unpersist()
+        self._graph.destroy()
         if "arcs" in self.__dict__:
             self.arcs.unpersist()

@@ -13,8 +13,8 @@ Zero rows are kept implicit: a node with no entries is a zero row;
 iterations (localCheckpoint), which is what keeps 20-iteration PPR plans
 from blowing up the optimizer.
 
-NRP no longer uses this module: its Spark matvecs are the
-broadcast-and-collect products of :class:`repro.graphs.edgelist.SparkGraph`.
+NRP no longer uses this module: its Spark products are the column-slice
+jobs of :class:`repro.graphs.edgelist.SparkGraph`.
 It is kept for its own tests and for the benchmark's tracer.
 """
 from __future__ import annotations

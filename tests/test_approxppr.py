@@ -101,10 +101,10 @@ def test_spark_backend_requires_session():
 
 
 @pytest.mark.parametrize("edges, n", [
-    # n = 3 is below defaultParallelism on 4+ cores: some blocks are empty;
-    # node 1 is dangling, node 2 isolated
+    # node 1 is dangling, node 2 isolated; k' = 2 columns is below
+    # defaultParallelism on 4+ cores
     ([[0, 1]], 3),
-    # hub-and-spokes plus isolated nodes: empty and all-zero-row blocks
+    # hub-and-spokes plus isolated nodes: mostly all-zero rows
     ([[0, v] for v in range(1, 12)] + [[3, 4], [5, 0]], 15),
 ])
 def test_spark_backend_bit_identical_degenerate(spark, edges, n):
@@ -114,9 +114,26 @@ def test_spark_backend_bit_identical_degenerate(spark, edges, n):
     assert np.array_equal(Xs, Xl) and np.array_equal(Ys, Yl)
 
 
-def test_spark_backend_leaves_no_cached_rdds(spark):
+def test_spark_backend_leaves_no_cached_rdds(spark, broadcasts):
     jsc = spark.sparkContext._jsc
     before = jsc.getPersistentRDDs().size()
     approxppr(erdos_renyi(30, 90, seed=2), 3, l1=4, q=2, backend="spark",
               spark=spark)
     assert jsc.getPersistentRDDs().size() == before
+    assert broadcasts and not any(b._jbroadcast.isValid() for b in broadcasts)
+
+
+def test_spark_backend_job_count(spark):
+    # BKSVD: A Om, q Krylov steps (A A^T) b, A^T Q, A^T U; then the whole
+    # PPR loop (Alg. 1 lines 3-5) in one job
+    sc = spark.sparkContext
+    q = 2
+    sc.setJobGroup("test-approxppr-jobs", "approxppr job count")
+    try:
+        approxppr(erdos_renyi(30, 90, seed=2), 3, q=q, l1=5, backend="spark",
+                  spark=spark)
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description"):
+            sc.setLocalProperty(key, None)
+    jobs = sc.statusTracker().getJobIdsForGroup("test-approxppr-jobs")
+    assert len(jobs) == (1 + q + 2) + 1

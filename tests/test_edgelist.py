@@ -11,7 +11,13 @@ import pytest
 from pyspark import RDD, cloudpickle
 from pyspark.core.broadcast import Broadcast
 
-from repro.graphs.edgelist import LocalGraph, SparkGraph, canonical_edges
+from repro.core.approxppr import approxppr, make_ppr_loop
+from repro.graphs.edgelist import (
+    CSRProducts,
+    LocalGraph,
+    SparkGraph,
+    canonical_edges,
+)
 from repro.graphs.generators import (
     directed_cycle,
     erdos_renyi,
@@ -19,6 +25,7 @@ from repro.graphs.generators import (
     ring,
     star,
 )
+from repro.linalg.bksvd import krylov_step
 from repro.oracle import assert_equivalent
 
 
@@ -204,27 +211,33 @@ def test_spark_transpose_arcs(spark):
 
 # ------------------------------------------------------- SparkGraph matvecs
 def _star_with_isolated():
-    # hub 0 holds every out-arc, so arc-balanced cuts leave empty blocks and
-    # blocks of all-zero rows; nodes 20..22 have no arcs at all
+    # hub 0 holds every out-arc, so most rows of A are all zero; nodes
+    # 20..22 have no arcs at all
     leaves = np.arange(1, 20)
     edges = np.stack([np.zeros_like(leaves), leaves], axis=1)
     return LocalGraph.from_edges(edges, 23, directed=True)
 
 
-@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("k", [1, 3, 5])
 def test_spark_matvecs_bit_identical(spark, k):
+    # k = 3 is below defaultParallelism (one column per slice); k = 5 above
+    # it on 4 cores (uneven slices)
     rng = np.random.default_rng(k)
+    chains = {"krylov": krylov_step, "ppr": make_ppr_loop(0.15, 20)}
     for g in (_star_with_isolated(), erdos_renyi(50, 300, directed=True, seed=1)):
         sg = SparkGraph(spark, g)
         X = rng.standard_normal((g.n, k))
-        for name in ("spmv", "spmv_t", "pmv"):
+        for name in ("spmv", "spmv_t"):
             got = getattr(sg, name)(X)
             assert np.array_equal(got, getattr(g, name)(X)), name
+        assert np.array_equal(sg.columns(CSRProducts.pmv, X), g.pmv(X))
+        for name, fn in chains.items():
+            assert np.array_equal(sg.columns(fn, X), g.columns(fn, X)), name
         assert np.array_equal(sg.spmv(X[:, 0]), g.spmv(X[:, 0]))
         sg.unpersist()
 
 
-def test_spark_graph_unpersist_releases_blocks(spark):
+def test_spark_graph_unpersist_releases_blocks(spark, broadcasts):
     jsc = spark.sparkContext._jsc
     before = jsc.getPersistentRDDs().size()
     g = ring(12)
@@ -232,8 +245,10 @@ def test_spark_graph_unpersist_releases_blocks(spark):
     sg.spmv(np.ones((g.n, 2)))
     sg.out_degrees().count()  # builds the cached arc DataFrame too
     assert jsc.getPersistentRDDs().size() > before
+    assert broadcasts and all(b._jbroadcast.isValid() for b in broadcasts)
     sg.unpersist()
     assert jsc.getPersistentRDDs().size() == before
+    assert not any(b._jbroadcast.isValid() for b in broadcasts)
 
 
 _WORKER = """
@@ -248,44 +263,51 @@ try:
 except ImportError:
     pass
 with open(sys.argv[1], "rb") as f:
-    payload, bid, X, block = pickle.load(f)
-# a worker registers each broadcast's value before it unpickles the function
-broadcast._broadcastRegistry[bid] = type("B", (), {"value": X})()
-run = cloudpickle.loads(payload)
-np.save(sys.argv[2], np.concatenate(list(run(iter([block])))))
+    jobs = pickle.load(f)
+outs = []
+for payload, bid, graph, X_slice in jobs:
+    # a worker registers each broadcast's value before it unpickles the
+    # function
+    broadcast._broadcastRegistry[bid] = type("B", (), {"value": graph})()
+    run = cloudpickle.loads(payload)
+    outs.append(next(run(iter([X_slice]))))
+np.savez(sys.argv[2], *outs)
 """
 
 
 def test_spark_matvec_ships_without_repro(spark, monkeypatch, tmp_path):
-    # Spark workers may lack ``src`` on their path: the function a product
+    # Spark workers may lack ``src`` on their path: the functions a job
     # ships must unpickle and run where ``repro`` cannot be imported
     shipped = []
     map_partitions = RDD.mapPartitions
 
     def spy(self, f, *args, **kwargs):
         cells = [c.cell_contents for c in f.__closure__ or ()]
-        bid = next(c._jbroadcast.id() for c in cells if isinstance(c, Broadcast))
-        shipped.append((cloudpickle.dumps(f), bid))
+        graph = next(c for c in cells if isinstance(c, Broadcast))
+        # the job's first column slice, which holds the first columns of X
+        shipped.append((cloudpickle.dumps(f), graph._jbroadcast.id(),
+                        graph.value, self.collect()[0]))
         return map_partitions(self, f, *args, **kwargs)
 
     monkeypatch.setattr(RDD, "mapPartitions", spy)
     g = erdos_renyi(40, 200, directed=True, seed=2)
     sg = SparkGraph(spark, g)
-    X = np.random.default_rng(0).standard_normal((g.n, 3))
-    want = sg.spmv(X)
-    blocks = sg._blocks.collect()
+    X = np.random.default_rng(0).standard_normal((g.n, 5))
+    sg.spmv(X)
     sg.unpersist()
-    (payload, bid), = shipped
-    # the block with the most arcs, and the rows it covers
-    i = max(range(len(blocks)), key=lambda b: blocks[b][1].size)
-    lo = sum(b[0].size - 1 for b in blocks[:i])
-    rows = slice(lo, lo + blocks[i][0].size - 1)
+    # the last job of an embed is the PPR loop (paper Alg. 1 lines 3-5)
+    approxppr(g, 5, l1=4, q=1, backend="spark", spark=spark)
+    del shipped[1:-1]
+    X_ppr, _ = approxppr(g, 5, l1=4, q=1)
     with open(tmp_path / "in.pkl", "wb") as f:
-        pickle.dump((payload, bid, X, blocks[i]), f)
+        pickle.dump(shipped, f)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     proc = subprocess.run(
-        [sys.executable, "-c", _WORKER, "in.pkl", "out.npy"],
+        [sys.executable, "-c", _WORKER, "in.pkl", "out.npz"],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert np.array_equal(np.load(tmp_path / "out.npy"), want[rows])
+    product, ppr = np.load(tmp_path / "out.npz").values()
+    assert 0 < product.shape[1] < X.shape[1]
+    assert np.array_equal(product, g.spmv(X[:, : product.shape[1]]))
+    assert np.array_equal(ppr, X_ppr[:, : ppr.shape[1]])
