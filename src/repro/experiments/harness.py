@@ -362,18 +362,20 @@ def scalability_table(
 ) -> pd.DataFrame:
     """Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs, varying n at
     fixed m and m at fixed n (paper used n up to 1e6, m up to 1e8; we scale
-    both down 10x — DESIGN.md §3)."""
+    both down 10x — DESIGN.md §3). ``lam=1`` as in every quality table."""
     rows = []
     for n in ns:
         g = erdos_renyi(n, fixed_m, seed=seed, name=f"er_n{n}")
         t0 = time.perf_counter()
-        nrp(g, k, l1=l1, l2=l2, seed=seed, backend=backend, spark=spark)
+        nrp(g, k, l1=l1, l2=l2, lam=1.0, seed=seed, backend=backend,
+            spark=spark)
         rows.append({"vary": "n", "n": n, "m": fixed_m,
                      "seconds": round(time.perf_counter() - t0, 2)})
     for m in ms:
         g = erdos_renyi(fixed_n, m, seed=seed, name=f"er_m{m}")
         t0 = time.perf_counter()
-        nrp(g, k, l1=l1, l2=l2, seed=seed, backend=backend, spark=spark)
+        nrp(g, k, l1=l1, l2=l2, lam=1.0, seed=seed, backend=backend,
+            spark=spark)
         rows.append({"vary": "m", "n": fixed_n, "m": m,
                      "seconds": round(time.perf_counter() - t0, 2)})
     return _print(

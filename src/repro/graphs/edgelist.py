@@ -62,21 +62,42 @@ def _make_segment_sum():
     # Built inside a function so that cloudpickle ships it to Spark workers
     # by value: a module-level function is pickled by reference, and the
     # workers cannot import ``repro``. It may therefore reference numpy only.
+
+    # values gathered per row block (~1 MB of float64): a block's gather and
+    # its reduceat stay in cache, where a whole-array reduceat does not
+    block_values = 1 << 17
+
     def segment_sum(
         X: np.ndarray, indptr: np.ndarray, indices: np.ndarray
     ) -> np.ndarray:
-        """Per-row sums of X[indices] over CSR segments (reduceat: much
-        faster than np.add.at for the m*k-sized gathers here)."""
+        """Per-row sums of X[indices] over CSR segments.
+
+        The non-empty rows are cut into blocks of about ``block_values``
+        gathered values, each ending on a row boundary (so a row longer
+        than that ends the block it is in). One ``np.add.reduceat`` per block
+        (over the block's gather, rows by columns) sums each row's segment
+        in the same order as one reduceat over the whole gather, so the
+        bits depend neither on the blocking nor on X's width; empty rows
+        stay zero.
+        """
         out = np.zeros((indptr.size - 1, X.shape[1]))
-        rows = np.diff(indptr) > 0
-        if not rows.any():
+        rows = np.flatnonzero(np.diff(indptr))
+        if not rows.size:
             return out
-        starts = indptr[:-1][rows]
-        # block columns so the m x k gather stays within ~400 MB
-        blk = max(1, int(5e7 // max(indices.size, 1)))
-        for lo in range(0, X.shape[1], blk):
-            contrib = X[indices, lo : lo + blk]
-            out[rows, lo : lo + blk] = np.add.reduceat(contrib, starts, axis=0)
+        # segment starts of the non-empty rows, then the end of the last
+        bounds = np.append(indptr[rows], indices.size)
+        span = max(1, block_values // max(X.shape[1], 1))
+        # each block ends at the first row boundary at or past a multiple
+        # of span, so it gathers at most span values plus its last row
+        cuts = np.unique(np.append(
+            np.searchsorted(bounds, np.arange(0, indices.size, span)),
+            rows.size,
+        ))
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            a, b = bounds[lo], bounds[hi]
+            out[rows[lo:hi]] = np.add.reduceat(
+                X[indices[a:b]], bounds[lo:hi] - a, axis=0
+            )
         return out
 
     return segment_sum
@@ -192,18 +213,10 @@ class LocalGraph:
         d[d == 0] = 1.0
         return A / d[:, None]
 
-    def spmv(self, X: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-        """``A @ X`` (or weighted-arc product) without materializing A.
-
-        ``(A X)[u] = sum over arcs (u, v) of w_uv * X[v]``. ``weights`` is
-        per-arc, aligned with ``self.arcs`` row order.
-        """
+    def spmv(self, X: np.ndarray) -> np.ndarray:
+        """``A @ X`` without materializing A:
+        ``(A X)[u] = sum over arcs (u, v) of X[v]``."""
         X = np.atleast_2d(X.T).T  # ensure 2-D (n, k)
-        if weights is not None:
-            a = self.arcs
-            out = np.zeros((self.n, X.shape[1]))
-            np.add.at(out, a[:, 0], X[a[:, 1]] * weights[:, None])
-            return out
         return segment_sum(X, *self.csr())
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:

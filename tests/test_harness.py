@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.baselines.registry import get_method
+from repro.core.nrp import nrp
 from repro.experiments import harness as H
 from repro.experiments.datasets import load_dataset
 from repro.graphs.generators import example_graph
@@ -65,12 +66,21 @@ def test_param_sweep_tiny():
     assert df.auc.between(0, 1).all()
 
 
-def test_scalability_table_tiny():
+def test_scalability_table_tiny(monkeypatch):
+    # timings describe the lam = 1 configuration of the quality tables
+    lams = []
+
+    def spy(*args, **kwargs):
+        lams.append(kwargs["lam"])
+        return nrp(*args, **kwargs)
+
+    monkeypatch.setattr(H, "nrp", spy)
     df = H.scalability_table(
         None, ns=(2000,), ms=(4000,), fixed_n=2000, fixed_m=4000,
         k=8, l1=5, l2=2, seed=0,
     )
     assert len(df) == 2 and (df.seconds > 0).all()
+    assert lams == [1.0, 1.0]
 
 
 def test_evolving_table_tiny():
