@@ -72,11 +72,9 @@ def approxppr(
     seed: int = 0,
     backend: str = "local",
     spark: SparkSession | None = None,
-    sg: SparkGraph | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 1 front door. ``backend`` in {"local", "spark"}; the Spark
-    backend builds (and afterwards releases) a :class:`SparkGraph` unless
-    ``sg`` is given."""
+    backend builds (and afterwards releases) a :class:`SparkGraph`."""
     if backend == "local":
         U, sig, V = bksvd_local(
             g.spmv, g.spmv_t, g.n, k2, eps=eps, q=q, seed=seed
@@ -86,11 +84,9 @@ def approxppr(
         raise ValueError(f"unknown backend {backend!r}")
     if spark is None:
         raise ValueError("spark backend requires a SparkSession")
-    own_sg = sg is None
-    sg = sg or SparkGraph(spark, g)
+    sg = SparkGraph(spark, g)
     try:
         U, sig, V = bksvd_spark(sg, k2, eps=eps, q=q, seed=seed)
         return _power(g, sg, U, sig, V, alpha, l1)
     finally:
-        if own_sg:
-            sg.unpersist()
+        sg.unpersist()

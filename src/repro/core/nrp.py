@@ -16,7 +16,7 @@ from pyspark.sql import SparkSession
 
 from repro.core.approxppr import approxppr
 from repro.core.reweight import update_backward_weights, update_forward_weights
-from repro.graphs.edgelist import LocalGraph, SparkGraph
+from repro.graphs.edgelist import LocalGraph
 
 
 @dataclass
@@ -44,26 +44,19 @@ def nrp(
     seed: int = 0,
     backend: str = "local",
     spark: SparkSession | None = None,
-    sg: SparkGraph | None = None,
-    exact_b1: bool = False,
-    chunk: int | str = "auto",
 ) -> NRPResult:
     """Run NRP with the paper's defaults (alpha=0.15, l1=20, l2=10, eps=0.2,
     lam=10). ``backend`` selects where the ApproxPPR phase runs; the
-    coordinate-descent sweeps are driver-side by construction (DESIGN §5).
-    ``chunk="auto"`` uses the paper's sequential sweep on small graphs and
-    the vectorized chunked sweep (same formulas, chunked update order)
-    above n = 2000."""
+    coordinate-descent sweeps are driver-side by construction (DESIGN §5)
+    and pick their chunk size from n (see :func:`update_backward_weights`)."""
     if k < 2 or k % 2:
         raise ValueError("k must be an even integer >= 2")
     k2 = k // 2
     X0, Y0 = approxppr(
         g, k2, alpha=alpha, l1=l1, eps=eps, q=q, seed=seed,
-        backend=backend, spark=spark, sg=sg,
+        backend=backend, spark=spark,
     )
     n = g.n
-    if chunk == "auto":
-        chunk = 1 if n <= 2000 else 512
     if l2 == 0:
         # the paper (Sec 5.6): "l2 = 0 ... is equivalent to disable our
         # reweighting scheme and only use the traditional PPR" — so the
@@ -75,12 +68,10 @@ def nrp(
     rng = np.random.default_rng(seed + 1)
     for _ in range(l2):
         wb = update_backward_weights(
-            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng,
-            exact_b1=exact_b1, chunk=chunk,
+            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng
         )
         wf = update_forward_weights(
-            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng,
-            exact_b1=exact_b1, chunk=chunk,
+            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng
         )
     return NRPResult(
         X=wf[:, None] * X0, Y=wb[:, None] * Y0, X0=X0, Y0=Y0, wf=wf, wb=wb

@@ -8,19 +8,18 @@ Two implementations of the per-node terms (a1, a2, a3, b1, b2):
 
 * :func:`naive_backward_terms` / :func:`naive_forward_terms` — straight from
   the definitional Eq. (7)/(23): O(n k') per node. Test oracle only.
-* :func:`update_backward_weights` / :func:`update_forward_weights` — the
-  paper's O(n k'^2)-per-sweep fast path using the shared aggregates
-  xi, chi, Lambda, rho1, rho2, phi (Eqs. 9, 10, 13) with O(k') incremental
-  rho updates (Eq. 11) as the Gauss-Seidel sweep visits nodes in random
-  order.
+* :func:`update_backward_weights` — the paper's O(n k'^2)-per-sweep fast
+  path using the shared aggregates xi, chi, Lambda, rho1, rho2, phi
+  (Eqs. 9, 10, 13) with incremental rho updates (Eq. 11) as the sweep
+  visits nodes in random order, one chunk of nodes at a time.
+  :func:`update_forward_weights` is the same sweep with the roles of
+  (X, w->, d_out) and (Y, w<-, d_in) swapped, which is all Appendix B's
+  Eqs. (24)-(28) change.
 
-The sweep is inherently sequential (each update reads rho1/rho2 written by
-the previous one), so it runs driver-side in numpy, aggregates included
-(DESIGN.md §5).
-
-``b1`` uses the paper's k'/2 heuristic (Eq. 14) by default; ``exact_b1``
-switches to the exact value b1 = Y_v Λ Y_v^T − (w→_v X_v·Y_v)^2, which this
-reproduction notes is available at the same O(k'^2) cost.
+The sweep runs driver-side in numpy, aggregates included (DESIGN.md §5).
+``b1`` uses the paper's k'/2 heuristic (Eq. 14) unless ``strict`` asks
+for the exact value b1 = Y_v Λ Y_v^T − (w→_v X_v·Y_v)^2, which is
+available at the same O(k'^2) cost.
 """
 from __future__ import annotations
 
@@ -120,7 +119,7 @@ def naive_forward_terms(
 
 
 # ---------------------------------------------------------------------------
-# Fast aggregates (Eqs. 9, 10, 13 and forward analogues 24, 25, 28)
+# Fast aggregates (Eqs. 9, 10, 13; the forward Eqs. 24, 25, 28 swap roles)
 # ---------------------------------------------------------------------------
 @dataclass
 class BackwardAggregates:
@@ -145,20 +144,6 @@ def backward_aggregates(X, Y, wf, wb, d_out) -> BackwardAggregates:
     )
 
 
-def forward_aggregates(X, Y, wf, wb, d_in) -> BackwardAggregates:
-    """Same container, roles swapped per Appendix B (Eqs. 24/25/28)."""
-    wy = wb[:, None] * Y
-    xy = np.einsum("ij,ij->i", X, Y)
-    return BackwardAggregates(
-        xi=(d_in[:, None] * wy).sum(axis=0),
-        chi=wy.sum(axis=0),
-        Lam=(wb[:, None] ** 2 * Y).T @ Y,
-        rho1=(wf[:, None] * X).sum(axis=0),
-        rho2=((wb**2 * wf * xy)[:, None] * Y).sum(axis=0),
-        phi=(wb[:, None] ** 2 * Y**2).sum(axis=0),
-    )
-
-
 # ---------------------------------------------------------------------------
 # Gauss-Seidel sweeps (Algorithm 2 / Algorithm 4)
 # ---------------------------------------------------------------------------
@@ -166,9 +151,8 @@ def update_backward_weights(
     X, Y, wf, wb, d_out, d_in, *,
     lam: float = 10.0,
     rng: np.random.Generator | None = None,
-    exact_b1: bool = False,
     strict: bool = False,
-    chunk: int = 1,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """One epoch of Algorithm 2: update every backward weight once, in
     random order, with incrementally-maintained rho1/rho2.
@@ -178,13 +162,18 @@ def update_backward_weights(
     inside a1/a3, and uses exact b1) — guaranteeing monotone descent; the
     default follows the paper verbatim.
 
-    ``chunk > 1`` vectorizes the sweep: nodes inside a chunk are updated
+    The random order is cut into chunks: nodes inside a chunk are updated
     Jacobi-style against the rho values frozen at chunk start, chunks are
-    Gauss-Seidel. chunk=1 is the paper's exact sequential sweep; larger
+    Gauss-Seidel. ``chunk=1`` is the paper's sequential sweep; larger
     chunks change only the update *order* (the per-node formulas are
-    identical) and are what makes n ~ 10^5 sweeps tractable in numpy."""
+    identical). ``None`` picks min(512, max(1, n // 16)): Jacobi over a
+    large share of the nodes overshoots and undoes the degree calibration
+    on small graphs, while 512 is what makes n ~ 10^5 sweeps fast in numpy
+    (DESIGN.md §7)."""
     n, k2 = X.shape
     rng = rng or np.random.default_rng(0)
+    if chunk is None:
+        chunk = min(512, max(1, n // 16))
     wb = wb.copy()
     ag = backward_aggregates(X, Y, wf, wb, d_out)
     xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
@@ -197,146 +186,40 @@ def update_backward_weights(
     t_phi = (Y**2) @ phi                      # sum_r phi[r] Y_v[r]^2
     t_self = np.einsum("ij,ij->i", Y**2, X**2)  # sum_r X_v[r]^2 Y_v[r]^2
     floor = 1.0 / n
-    if chunk > 1:
-        order = rng.permutation(n)
-        for lo in range(0, n, chunk):
-            c = order[lo : lo + chunk]
-            s = chiY[c] - wf[c] * xy[c]
-            a1 = a1_all[c]
-            a2 = d_in[c] * s
-            a3 = (
-                LamY[c] @ rho1
-                - wb[c] * yly[c]
-                - Y[c] @ rho2
-                + wb[c] * xy[c] ** 2 * wf[c] ** 2
-            )
-            b2 = s * s
-            if strict:
-                a1 = a1 - d_out[c] * wf[c] * xy[c]
-                a3 = a3 - wf[c] ** 2 * xy[c] * (
-                    X[c] @ rho1 - wb[c] * xy[c]
-                )
-            if exact_b1 or strict:
-                b1 = yly[c] - (wf[c] * xy[c]) ** 2
-            else:
-                b1 = (k2 / 2.0) * (t_phi[c] - wf[c] ** 2 * t_self[c])
-            den = b1 + b2 + lam
-            new = np.where(
-                den > 0, np.maximum(floor, (a1 + a2 - a3) / np.where(den > 0, den, 1.0)),
-                wb[c],  # flat objective (zero rows, lam=0): keep weight
-            )
-            delta = new - wb[c]
-            rho1 = rho1 + delta @ Y[c]
-            rho2 = rho2 + (delta * wf[c] ** 2 * xy[c]) @ X[c]
-            wb[c] = new
-        return wb
-    for v in rng.permutation(n):
-        s = chiY[v] - wf[v] * xy[v]           # (chi - wf_v X_v) Y_v^T
-        a1 = a1_all[v]
-        a2 = d_in[v] * s
+    order = rng.permutation(n)
+    for lo in range(0, n, chunk):
+        c = order[lo : lo + chunk]
+        s = chiY[c] - wf[c] * xy[c]           # (chi - wf_v X_v) Y_v^T
+        a1 = a1_all[c]
+        a2 = d_in[c] * s
         a3 = (
-            rho1 @ LamY[v]
-            - wb[v] * yly[v]
-            - rho2 @ Y[v]
-            + wb[v] * xy[v] ** 2 * wf[v] ** 2
+            LamY[c] @ rho1
+            - wb[c] * yly[c]
+            - Y[c] @ rho2
+            + wb[c] * xy[c] ** 2 * wf[c] ** 2
         )
         b2 = s * s
         if strict:
-            a1 = a1 - d_out[v] * wf[v] * xy[v]
-            a3 = a3 - wf[v] ** 2 * xy[v] * (X[v] @ (rho1 - wb[v] * Y[v]))
-        if exact_b1 or strict:
-            b1 = yly[v] - (wf[v] * xy[v]) ** 2
+            a1 = a1 - d_out[c] * wf[c] * xy[c]
+            a3 = a3 - wf[c] ** 2 * xy[c] * (
+                X[c] @ rho1 - wb[c] * xy[c]
+            )
+            b1 = yly[c] - (wf[c] * xy[c]) ** 2
         else:
-            b1 = (k2 / 2.0) * (t_phi[v] - wf[v] ** 2 * t_self[v])
+            b1 = (k2 / 2.0) * (t_phi[c] - wf[c] ** 2 * t_self[c])
         den = b1 + b2 + lam
-        new = max(floor, (a1 + a2 - a3) / den) if den > 0 else wb[v]
-        delta = new - wb[v]
-        if delta != 0.0:
-            rho1 = rho1 + delta * Y[v]
-            rho2 = rho2 + delta * wf[v] ** 2 * xy[v] * X[v]
-            wb[v] = new
+        new = np.where(
+            den > 0, np.maximum(floor, (a1 + a2 - a3) / np.where(den > 0, den, 1.0)),
+            wb[c],  # flat objective (zero rows, lam=0): keep weight
+        )
+        delta = new - wb[c]
+        rho1 = rho1 + delta @ Y[c]
+        rho2 = rho2 + (delta * wf[c] ** 2 * xy[c]) @ X[c]
+        wb[c] = new
     return wb
 
 
-def update_forward_weights(
-    X, Y, wf, wb, d_out, d_in, *,
-    lam: float = 10.0,
-    rng: np.random.Generator | None = None,
-    exact_b1: bool = False,
-    strict: bool = False,
-    chunk: int = 1,
-) -> np.ndarray:
-    """One epoch of Algorithm 4 (Appendix B), symmetric to Algorithm 2
-    (see that function for the ``strict``/``chunk`` semantics)."""
-    n, k2 = X.shape
-    rng = rng or np.random.default_rng(0)
-    wf = wf.copy()
-    ag = forward_aggregates(X, Y, wf, wb, d_in)
-    xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
-    xy = np.einsum("ij,ij->i", X, Y)
-    a1_all = X @ xi
-    chiX = X @ chi
-    LamX = X @ Lam
-    xlx = np.einsum("ij,ij->i", X, LamX)
-    t_phi = (X**2) @ phi
-    t_self = np.einsum("ij,ij->i", X**2, Y**2)
-    floor = 1.0 / n
-    if chunk > 1:
-        order = rng.permutation(n)
-        for lo in range(0, n, chunk):
-            c = order[lo : lo + chunk]
-            s = chiX[c] - wb[c] * xy[c]
-            a1 = a1_all[c]
-            a2 = d_out[c] * s
-            a3 = (
-                LamX[c] @ rho1
-                - wf[c] * xlx[c]
-                - X[c] @ rho2
-                + wb[c] ** 2 * xy[c] ** 2 * wf[c]
-            )
-            b2 = s * s
-            if strict:
-                a1 = a1 - d_in[c] * wb[c] * xy[c]
-                a3 = a3 - wb[c] ** 2 * xy[c] * (
-                    Y[c] @ rho1 - wf[c] * xy[c]
-                )
-            if exact_b1 or strict:
-                b1 = xlx[c] - (wb[c] * xy[c]) ** 2
-            else:
-                b1 = (k2 / 2.0) * (t_phi[c] - wb[c] ** 2 * t_self[c])
-            den = b1 + b2 + lam
-            new = np.where(
-                den > 0, np.maximum(floor, (a1 + a2 - a3) / np.where(den > 0, den, 1.0)),
-                wf[c],
-            )
-            delta = new - wf[c]
-            rho1 = rho1 + delta @ X[c]
-            rho2 = rho2 + (delta * wb[c] ** 2 * xy[c]) @ Y[c]
-            wf[c] = new
-        return wf
-    for u in rng.permutation(n):
-        s = chiX[u] - wb[u] * xy[u]
-        a1 = a1_all[u]
-        a2 = d_out[u] * s
-        a3 = (
-            rho1 @ LamX[u]
-            - wf[u] * xlx[u]
-            - rho2 @ X[u]
-            + wb[u] ** 2 * xy[u] ** 2 * wf[u]
-        )
-        b2 = s * s
-        if strict:
-            a1 = a1 - d_in[u] * wb[u] * xy[u]
-            a3 = a3 - wb[u] ** 2 * xy[u] * (Y[u] @ (rho1 - wf[u] * X[u]))
-        if exact_b1 or strict:
-            b1 = xlx[u] - (wb[u] * xy[u]) ** 2
-        else:
-            b1 = (k2 / 2.0) * (t_phi[u] - wb[u] ** 2 * t_self[u])
-        den = b1 + b2 + lam
-        new = max(floor, (a1 + a2 - a3) / den) if den > 0 else wf[u]
-        delta = new - wf[u]
-        if delta != 0.0:
-            rho1 = rho1 + delta * X[u]
-            rho2 = rho2 + delta * wb[u] ** 2 * xy[u] * Y[u]
-            wf[u] = new
-    return wf
+def update_forward_weights(X, Y, wf, wb, d_out, d_in, **kw) -> np.ndarray:
+    """One epoch of Algorithm 4 (Appendix B): Algorithm 2 with (X, w->,
+    d_out) and (Y, w<-, d_in) trading places. Returns the new w->."""
+    return update_backward_weights(Y, X, wb, wf, d_in, d_out, **kw)

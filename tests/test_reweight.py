@@ -7,7 +7,6 @@ import pytest
 from repro.core.approxppr import approxppr
 from repro.core.reweight import (
     backward_aggregates,
-    forward_aggregates,
     naive_backward_terms,
     naive_forward_terms,
     objective,
@@ -28,6 +27,16 @@ def setup():
     d_out = rng.integers(1, 10, n).astype(float)
     d_in = rng.integers(1, 10, n).astype(float)
     return X, Y, wf, wb, d_out, d_in
+
+
+class OneNodeRng:
+    """Stands in for the sweep's rng: its permutation visits one node."""
+
+    def __init__(self, node: int):
+        self.node = node
+
+    def permutation(self, n):
+        return np.array([self.node])
 
 
 # ------------------------------------------------------------ fast == naive
@@ -66,7 +75,7 @@ def test_forward_terms_fast_vs_naive(setup, ustar):
     X, Y, wf, wb, d_out, d_in = setup
     n, k2 = X.shape
     nv = naive_forward_terms(X, Y, wf, wb, d_out, d_in, ustar)
-    ag = forward_aggregates(X, Y, wf, wb, d_in)
+    ag = backward_aggregates(Y, X, wb, wf, d_in)  # Appendix B role swap
     Xu, Yu = X[ustar], Y[ustar]
     xy = Xu @ Yu
     s = (ag.chi - wb[ustar] * Yu) @ Xu
@@ -131,28 +140,34 @@ def test_objective_decreases_in_strict_mode():
     rng = np.random.default_rng(0)
     for _ in range(4):
         wb = update_backward_weights(
-            X, Y, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng, strict=True
+            X, Y, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng, strict=True,
+            chunk=1,
         )
         cur = objective(X, Y, wf, wb, g.d_out, g.d_in, lam)
         assert cur <= prev + 1e-8
         prev = cur
         wf = update_forward_weights(
-            X, Y, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng, strict=True
+            X, Y, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng, strict=True,
+            chunk=1,
         )
         cur = objective(X, Y, wf, wb, g.d_out, g.d_in, lam)
         assert cur <= prev + 1e-8
         prev = cur
 
 
-def test_degree_calibration_improves():
+@pytest.mark.parametrize(
+    "n,m", [(60, 400), (300, 2500)], ids=["n60", "n300"]
+)
+def test_degree_calibration_improves(n, m):
     # Eq. (5): after reweighting, total embedded strength per node should be
     # much closer to the degrees than before. (lam=1 here: at n=60 the
     # paper's lam=10 regularizer dominates the residuals and trades
     # calibration away — at paper scale the residual sum over n >> 60 nodes
-    # dominates instead.)
-    g = dcsbm(60, 400, 3, seed=4)[0]
+    # dominates instead.) The sweeps run at their default chunk size, which
+    # must stay small enough relative to n to calibrate: one Jacobi chunk
+    # over all nodes ends at 0.93 (n=60) and 2.72 (n=300) of the start.
+    g = dcsbm(n, m, 3, seed=4)[0]
     X, Y = approxppr(g, 6, seed=1)
-    n = g.n
     wf0 = np.maximum(g.d_out, 1.0 / n)
     wb0 = np.ones(n)
 
@@ -183,15 +198,53 @@ def test_example2_update_structure():
     nv = naive_backward_terms(X, Y, wf, wb, g.d_out, g.d_in, 0)
     expected = max(1 / 9, (nv["a1"] + nv["a2"] - nv["a3"]) / (nv["b1_approx"] + nv["b2"]))
 
-    class OneNodeRng:
-        def permutation(self, n):
-            return np.array([0])
-
     wb2 = update_backward_weights(
-        X, Y, wf, wb, g.d_out, g.d_in, lam=0.0, rng=OneNodeRng()
+        X, Y, wf, wb, g.d_out, g.d_in, lam=0.0, rng=OneNodeRng(0)
     )
     assert wb2[0] == pytest.approx(expected, rel=1e-9)
     assert np.all(wb2[1:] == 1.0)
+
+
+@pytest.mark.parametrize("ustar", [0, 2, 8])
+def test_example2_forward_update_structure(ustar):
+    """The forward twin: the role-swapped sweep's first forward update
+    equals (a1+a2-a3)/(b1+b2) from the naive Eq. (23) definitions
+    (lambda = 0), floored at 1/9, and touches no other weight."""
+    g = example_graph()
+    X, Y = approxppr(g, 2, q=8, seed=0)
+    wf = g.d_out.copy()
+    wb = np.ones(9)
+    nv = naive_forward_terms(X, Y, wf, wb, g.d_out, g.d_in, ustar)
+    expected = max(1 / 9, (nv["a1"] + nv["a2"] - nv["a3"]) / (nv["b1_approx"] + nv["b2"]))
+
+    wf2 = update_forward_weights(
+        X, Y, wf, wb, g.d_out, g.d_in, lam=0.0, rng=OneNodeRng(ustar)
+    )
+    assert wf2[ustar] == pytest.approx(expected, rel=1e-9)
+    others = np.arange(9) != ustar
+    assert np.all(wf2[others] == wf[others])
+
+
+@pytest.mark.parametrize("node", [0, 9, 35])
+def test_one_node_updates_match_naive_on_directed_graph(node):
+    # the Example 2 check on a directed graph (d_out != d_in at 39 of 40
+    # nodes), for both sweeps: one that mixes up the roles fails here
+    g = dcsbm(40, 300, 2, directed=True, seed=5)[0]
+    X, Y = approxppr(g, 4, seed=0)
+    wf = np.maximum(g.d_out, 1 / g.n)
+    wb = np.ones(g.n)
+
+    for update, naive, w in (
+        (update_backward_weights, naive_backward_terms, wb),
+        (update_forward_weights, naive_forward_terms, wf),
+    ):
+        nv = naive(X, Y, wf, wb, g.d_out, g.d_in, node)
+        expected = (nv["a1"] + nv["a2"] - nv["a3"]) / (nv["b1_approx"] + nv["b2"])
+        w2 = update(X, Y, wf, wb, g.d_out, g.d_in, lam=0.0, rng=OneNodeRng(node))
+        assert expected > 1 / g.n
+        assert w2[node] == pytest.approx(expected, rel=1e-9)
+        others = np.arange(g.n) != node
+        assert np.all(w2[others] == w[others])
 
 
 def test_lam_zero_with_zero_rows_is_finite():
@@ -218,7 +271,8 @@ def test_chunked_matches_sequential_quality():
     wf = np.maximum(g.d_out, 1 / g.n)
     wb = np.ones(g.n)
     seq = update_backward_weights(
-        X, Y, wf, wb, g.d_out, g.d_in, lam=1.0, rng=np.random.default_rng(0)
+        X, Y, wf, wb, g.d_out, g.d_in, lam=1.0,
+        rng=np.random.default_rng(0), chunk=1,
     )
     chk = update_backward_weights(
         X, Y, wf, wb, g.d_out, g.d_in, lam=1.0,
