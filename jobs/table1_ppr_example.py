@@ -1,5 +1,6 @@
 """Reproduce paper Table 1: PPR values on the Fig. 1 example graph,
-computed by the exact oracle and by the distributed Spark power iteration.
+computed by the exact oracle and on Spark, where the whole PPR matrix is one
+column-separable Spark job over the identity.
 
     spark-submit jobs/table1_ppr_example.py
 """

@@ -42,6 +42,22 @@ def make_ppr_loop(alpha: float, l1: int):
     return ppr_loop
 
 
+def make_ppr_cols(alpha: float, iters: int):
+    """``ppr_cols(ops, E) = Pi E`` for the full PPR matrix Pi (Eq. 1)
+    summed over orders 0..iters: the zero-hop ``alpha E`` plus the
+    :func:`make_ppr_loop` chain (orders 1..iters) run on ``X_1 = P E``.
+
+    With ``E`` the identity this is all of Pi, so it is for small graphs
+    only, like :func:`repro.ppr.exact.ppr_dense`. Built inside a function
+    for the reason given in :func:`make_ppr_loop`."""
+    ppr_loop = make_ppr_loop(alpha, iters)
+
+    def ppr_cols(ops, E: np.ndarray) -> np.ndarray:
+        return alpha * E + ppr_loop(ops, ops.pmv(E))
+
+    return ppr_cols
+
+
 def _power(
     g: LocalGraph,
     provider: LocalGraph | SparkGraph,

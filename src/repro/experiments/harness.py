@@ -22,6 +22,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.registry import METHODS, Method, get_method
+from repro.core.approxppr import make_ppr_cols
 from repro.core.nrp import nrp
 from repro.embedding import Embedding
 from repro.experiments.datasets import (
@@ -34,7 +35,6 @@ from repro.graphs.edgelist import LocalGraph, SparkGraph
 from repro.graphs.generators import erdos_renyi, example_graph
 from repro.graphs.stats import evolving_stats_row, stats_row
 from repro.ppr.exact import ppr_dense
-from repro.ppr.power import ppr_rows_numpy
 from repro.tasks.classification import node_classification_f1
 from repro.tasks.linkpred import link_prediction_auc
 from repro.tasks.reconstruction import reconstruction_precision
@@ -70,17 +70,20 @@ def protocol_for(method: Method, g: LocalGraph) -> str:
 # ---------------------------------------------------------------- Table 1
 def table1_ppr(spark: SparkSession | None = None) -> pd.DataFrame:
     """Reproduce paper Table 1: PPR values on the Fig. 1 graph, exact oracle
-    plus (optionally) the distributed power iteration."""
+    plus (optionally) Spark, where the whole PPR matrix ``Pi I`` is one
+    :meth:`SparkGraph.columns` job over the identity."""
     g = example_graph()
     pi = ppr_dense(g, alpha=0.15)
     sources = {"v2": 1, "v4": 3, "v7": 6, "v9": 8}
-    spark_rows = None
+    spark_pi = None
     if spark is not None:
         sg = SparkGraph(spark, g)
-        spark_rows = ppr_rows_numpy(sg, list(sources.values()), alpha=0.15, iters=60)
-        sg.unpersist()
+        try:
+            spark_pi = sg.columns(make_ppr_cols(0.15, 60), np.eye(g.n))
+        finally:
+            sg.unpersist()
     rows = []
-    for i, (label, src) in enumerate(sources.items()):
+    for label, src in sources.items():
         for j in range(9):
             row = {
                 "source": label,
@@ -88,8 +91,8 @@ def table1_ppr(spark: SparkSession | None = None) -> pd.DataFrame:
                 "paper": TABLE1_PAPER[label][j],
                 "exact": round(float(pi[src, j]), 3),
             }
-            if spark_rows is not None:
-                row["spark"] = round(float(spark_rows[i, j]), 3)
+            if spark_pi is not None:
+                row["spark"] = round(float(spark_pi[src, j]), 3)
             rows.append(row)
     return _print(pd.DataFrame(rows), "Table 1: PPR on the Fig.1 graph (alpha=0.15)")
 

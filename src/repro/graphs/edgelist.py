@@ -10,8 +10,8 @@ Two views of the same graph:
   :meth:`SparkGraph.columns` call is one Spark job that runs a whole
   column-separable function (one product, a Krylov step, the PPR loop) on
   column slices of X and returns the same bits as the ``LocalGraph`` run.
-  An arc DataFrame with helpers (degrees, transition probabilities) serves
-  the pregel-style PPR power iteration of :mod:`repro.ppr.power`.
+  Its arc DataFrame (and the transition probabilities derived from it) is
+  off the NRP path: it serves only the tests of :mod:`repro.linalg.longmat`.
 
 Both graphs are *product providers*: ``columns(fn, X)`` runs
 ``fn(ops, X)``, where ``ops`` has ``spmv``/``spmv_t``/``pmv``. Every column
@@ -279,9 +279,10 @@ class SparkGraph:
     every result has the same bits as the in-process run.
 
     ``arcs`` is a cached DataFrame ``(src: long, dst: long)``, built on
-    first use; the helper methods return pure DataFrame results so every
-    one is checkable against the DuckDB oracle. :meth:`unpersist` destroys
-    the graph broadcast and releases the arcs.
+    first use. It and :meth:`transition_arcs` are off the NRP path: they
+    serve only the tests of :mod:`repro.linalg.longmat` and are themselves
+    checked against the DuckDB oracle. :meth:`unpersist` destroys the graph
+    broadcast and releases the arcs.
     """
 
     def __init__(self, spark: SparkSession, local: LocalGraph):
@@ -328,21 +329,6 @@ class SparkGraph:
         df.count()  # materialize
         return df
 
-    def out_degrees(self) -> DataFrame:
-        """(id, d_out) for every node, including zero-out-degree nodes."""
-        nodes = self.spark.range(self.n).withColumnRenamed("id", "id")
-        deg = self.arcs.groupBy(F.col("src").alias("id")).agg(
-            F.count("*").alias("d_out")
-        )
-        return nodes.join(deg, "id", "left").fillna({"d_out": 0})
-
-    def in_degrees(self) -> DataFrame:
-        nodes = self.spark.range(self.n)
-        deg = self.arcs.groupBy(F.col("dst").alias("id")).agg(
-            F.count("*").alias("d_in")
-        )
-        return nodes.join(deg, "id", "left").fillna({"d_in": 0})
-
     def transition_arcs(self) -> DataFrame:
         """(src, dst, p) with p = 1/d_out(src): the sparse transition matrix."""
         deg = self.arcs.groupBy(F.col("src").alias("u")).agg(
@@ -351,11 +337,6 @@ class SparkGraph:
         return (
             self.arcs.join(deg, self.arcs.src == deg.u)
             .select("src", "dst", (F.lit(1.0) / F.col("d")).alias("p"))
-        )
-
-    def transpose_arcs(self) -> DataFrame:
-        return self.arcs.select(
-            F.col("dst").alias("src"), F.col("src").alias("dst")
         )
 
     def unpersist(self) -> None:

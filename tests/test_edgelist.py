@@ -12,7 +12,7 @@ import pytest
 from pyspark import RDD, cloudpickle
 from pyspark.core.broadcast import Broadcast
 
-from repro.core.approxppr import approxppr, make_ppr_loop
+from repro.core.approxppr import approxppr, make_ppr_cols, make_ppr_loop
 from repro.graphs.edgelist import (
     CSRProducts,
     LocalGraph,
@@ -211,64 +211,31 @@ def _arc_pdf(g):
     return pd.DataFrame({"src": g.arcs[:, 0], "dst": g.arcs[:, 1]})
 
 
-def test_spark_out_degrees_oracle(spark):
-    g = example_graph()
-    sg = SparkGraph(spark, g)
-    assert_equivalent(
-        sg.out_degrees(),
-        """
-        SELECT n.id AS id, COALESCE(d.d_out, 0) AS d_out
-        FROM nodes n LEFT JOIN (
-          SELECT src AS id, COUNT(*) AS d_out FROM arcs GROUP BY src
-        ) d USING (id)
-        """,
-        arcs=_arc_pdf(g),
-        nodes=pd.DataFrame({"id": range(g.n)}),
-    )
-    sg.unpersist()
-
-
-def test_spark_in_degrees_oracle(spark):
-    g = erdos_renyi(30, 60, directed=True, seed=3)
-    sg = SparkGraph(spark, g)
-    assert_equivalent(
-        sg.in_degrees(),
-        """
-        SELECT n.id AS id, COALESCE(d.d_in, 0) AS d_in
-        FROM nodes n LEFT JOIN (
-          SELECT dst AS id, COUNT(*) AS d_in FROM arcs GROUP BY dst
-        ) d USING (id)
-        """,
-        arcs=_arc_pdf(g),
-        nodes=pd.DataFrame({"id": range(g.n)}),
-    )
-    sg.unpersist()
+#: P as arcs (src, dst, p = 1/d_out(src))
+_TRANSITION_SQL = """
+    SELECT a.src AS src, a.dst AS dst, 1.0 / d.d AS p
+    FROM arcs a JOIN (
+      SELECT src, COUNT(*) AS d FROM arcs GROUP BY src
+    ) d USING (src)
+"""
 
 
 def test_spark_transition_arcs_oracle(spark):
     g = example_graph()
     sg = SparkGraph(spark, g)
-    assert_equivalent(
-        sg.transition_arcs(),
-        """
-        SELECT a.src AS src, a.dst AS dst, 1.0 / d.d AS p
-        FROM arcs a JOIN (
-          SELECT src, COUNT(*) AS d FROM arcs GROUP BY src
-        ) d USING (src)
-        """,
-        arcs=_arc_pdf(g),
-    )
+    assert_equivalent(sg.transition_arcs(), _TRANSITION_SQL, arcs=_arc_pdf(g))
     sg.unpersist()
 
 
-def test_spark_transpose_arcs(spark):
-    g = directed_cycle(4)
-    sg = SparkGraph(spark, g)
-    pdf = sg.transpose_arcs().toPandas().sort_values(["src", "dst"])
-    assert pdf[["src", "dst"]].values.tolist() == sorted(
-        g.edges[:, ::-1].tolist()
-    )
-    sg.unpersist()
+def test_oracle_rejects_wrong_transition_arcs(spark):
+    # the oracle must catch a wrong result: p = 1/d_in(dst) is not P on a
+    # directed graph whose arcs join nodes of different in- and out-degree
+    g = erdos_renyi(30, 60, directed=True, seed=3)
+    src, dst = g.arcs.T
+    assert np.any(g.d_in[dst] != g.d_out[src])
+    wrong = spark.createDataFrame(_arc_pdf(g).assign(p=1.0 / g.d_in[dst]))
+    with pytest.raises(AssertionError):
+        assert_equivalent(wrong, _TRANSITION_SQL, arcs=_arc_pdf(g))
 
 
 # ------------------------------------------------------- SparkGraph matvecs
@@ -285,7 +252,11 @@ def test_spark_matvecs_bit_identical(spark, k):
     # k = 3 is below defaultParallelism (one column per slice); k = 5 above
     # it on 4 cores (uneven slices)
     rng = np.random.default_rng(k)
-    chains = {"krylov": krylov_step, "ppr": make_ppr_loop(0.15, 20)}
+    chains = {
+        "krylov": krylov_step,
+        "ppr": make_ppr_loop(0.15, 20),
+        "ppr_cols": make_ppr_cols(0.15, 20),
+    }
     for g in (_star_with_isolated(), erdos_renyi(50, 300, directed=True, seed=1)):
         sg = SparkGraph(spark, g)
         X = rng.standard_normal((g.n, k))
@@ -305,7 +276,7 @@ def test_spark_graph_unpersist_releases_blocks(spark, broadcasts):
     g = ring(12)
     sg = SparkGraph(spark, g)
     sg.spmv(np.ones((g.n, 2)))
-    sg.out_degrees().count()  # builds the cached arc DataFrame too
+    sg.arcs  # builds the cached arc DataFrame too
     assert jsc.getPersistentRDDs().size() > before
     assert broadcasts and all(b._jbroadcast.isValid() for b in broadcasts)
     sg.unpersist()

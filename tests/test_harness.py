@@ -23,7 +23,15 @@ def test_table1_exact_matches_paper_rows():
 
 
 def test_table1_with_spark(spark):
-    df = H.table1_ppr(spark)
+    # the whole PPR matrix is one column job over the identity
+    sc = spark.sparkContext
+    sc.setJobGroup("test-table1-jobs", "table1 job count")
+    try:
+        df = H.table1_ppr(spark)
+    finally:
+        for key in ("spark.jobGroup.id", "spark.job.description"):
+            sc.setLocalProperty(key, None)
+    assert len(sc.statusTracker().getJobIdsForGroup("test-table1-jobs")) == 1
     np.testing.assert_allclose(df.exact, df.spark, atol=1e-3)
 
 

@@ -1,8 +1,9 @@
-"""PPR: dense oracle properties, the paper's Table 1, and the distributed
-power iteration against the oracle."""
+"""PPR: dense oracle properties, the paper's Table 1, and the Spark PPR
+matrix (one column job) against the oracle."""
 import numpy as np
 import pytest
 
+from repro.core.approxppr import make_ppr_cols
 from repro.graphs.edgelist import LocalGraph, SparkGraph
 from repro.graphs.generators import (
     directed_cycle,
@@ -11,7 +12,6 @@ from repro.graphs.generators import (
     ring,
 )
 from repro.ppr.exact import ppr_dense, ppr_truncated
-from repro.ppr.power import ppr_from_sources, ppr_rows_numpy
 
 #: Paper Table 1, alpha = 0.15 (rows v2, v4, v9 — v7 is a paper erratum,
 #: see DESIGN.md §4; the corrected row is asserted separately).
@@ -87,37 +87,6 @@ def test_ppr_truncated_excludes_zero_hop():
 def test_spark_ppr_matches_dense(spark, alpha):
     g = erdos_renyi(25, 70, seed=6)
     sg = SparkGraph(spark, g)
-    sources = [0, 5, 12]
-    got = ppr_rows_numpy(sg, sources, alpha=alpha, iters=40)
-    want = ppr_dense(g, alpha=alpha, iters=41)
-    np.testing.assert_allclose(got, want[sources], atol=1e-6)
+    got = sg.columns(make_ppr_cols(alpha, 40), np.eye(g.n))
     sg.unpersist()
-
-
-def test_spark_ppr_all_sources(spark):
-    g = example_graph()
-    sg = SparkGraph(spark, g)
-    pdf = ppr_from_sources(sg, None, alpha=0.15, iters=40).toPandas()
-    got = np.zeros((9, 9))
-    got[pdf.s, pdf.node] = pdf.ppr
-    np.testing.assert_allclose(got, ppr_dense(g, iters=41), atol=1e-6)
-    sg.unpersist()
-
-
-def test_spark_ppr_threshold_prunes(spark):
-    g = erdos_renyi(40, 120, seed=7)
-    sg = SparkGraph(spark, g)
-    dense = ppr_from_sources(sg, [0], iters=15).count()
-    sparse = ppr_from_sources(sg, [0], iters=15, threshold=5e-3).count()
-    assert sparse <= dense
-    sg.unpersist()
-
-
-def test_spark_ppr_no_zero_hop(spark):
-    g = directed_cycle(6)
-    sg = SparkGraph(spark, g)
-    pdf = ppr_from_sources(
-        sg, [0], iters=3, include_zero_hop=False
-    ).toPandas()
-    assert 0 not in pdf[pdf.s == 0].node.values  # cycle of 6, 3 hops
-    sg.unpersist()
+    np.testing.assert_allclose(got, ppr_dense(g, alpha=alpha, iters=41), atol=1e-6)
