@@ -21,7 +21,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.baselines.registry import METHODS, Method, get_method
+from repro.baselines.registry import Method, get_method
 from repro.core.approxppr import make_ppr_cols
 from repro.core.nrp import nrp
 from repro.embedding import Embedding

@@ -8,7 +8,7 @@ Two views of the same graph:
 * :class:`SparkGraph` — a Spark view of the same graph. It broadcasts the
   CSR adjacency, its transpose and the row divisor of P once; each
   :meth:`SparkGraph.columns` call is one Spark job that runs a whole
-  column-separable function (one product, a Krylov step, the PPR loop) on
+  column-separable function (the BKSVD Krylov chain, the PPR loop) on
   column slices of X and returns the same bits as the ``LocalGraph`` run.
   Its arc DataFrame (and the transition probabilities derived from it) is
   off the NRP path: it serves only the tests of :mod:`repro.linalg.longmat`.
@@ -274,9 +274,8 @@ class SparkGraph:
     once, so each executor holds one copy of CSR and CSR^T. A
     :meth:`columns` call is one Spark job: it ships column slices of X, each
     task runs the whole function on its slice over the broadcast arrays,
-    and the driver stacks the slices. ``spmv`` and ``spmv_t`` are single
-    products with the signatures of the unweighted ``LocalGraph`` ones;
-    every result has the same bits as the in-process run.
+    and the driver joins the slices' outputs. Every result has the same
+    bits as the in-process run.
 
     ``arcs`` is a cached DataFrame ``(src: long, dst: long)``, built on
     first use. It and :meth:`transition_arcs` are off the NRP path: they
@@ -297,7 +296,10 @@ class SparkGraph:
     def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
         """``fn(ops, X)`` for a column-separable ``fn``, as one Spark job
         over at most ``defaultParallelism`` non-empty column slices of X;
-        ``ops`` is a :class:`CSRProducts` over the graph broadcast."""
+        ``ops`` is a :class:`CSRProducts` over the graph broadcast. The
+        slices' outputs are joined along their last axis, so ``fn`` may
+        return an (n, w) matrix or a stack of them, one column per column
+        of its slice."""
         X = np.atleast_2d(X.T).T
         sc = self.spark.sparkContext
         parts = max(1, min(sc.defaultParallelism, X.shape[1]))
@@ -310,15 +312,7 @@ class SparkGraph:
 
         slices = np.array_split(X, parts, axis=1)
         rdd = sc.parallelize(slices, parts)
-        return np.hstack(rdd.mapPartitions(run).collect())
-
-    def spmv(self, X: np.ndarray) -> np.ndarray:
-        """``A @ X``."""
-        return self.columns(CSRProducts.spmv, X)
-
-    def spmv_t(self, X: np.ndarray) -> np.ndarray:
-        """``A.T @ X``."""
-        return self.columns(CSRProducts.spmv_t, X)
+        return np.concatenate(rdd.mapPartitions(run).collect(), axis=-1)
 
     @cached_property
     def arcs(self) -> DataFrame:

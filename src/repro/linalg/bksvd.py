@@ -2,21 +2,27 @@
 
 Used by ApproxPPR (paper Algorithm 1, line 1) to factorize the adjacency
 matrix A ~= U S V^T with a (1+eps) spectral-norm guarantee. The matrix is
-touched only through a product provider (``spmv``, ``spmv_t`` and
-``columns``, see :mod:`repro.graphs.edgelist`), so one algorithm serves
-both backends: :func:`bksvd_local` runs it over two in-process matvecs,
-:func:`bksvd_spark` over a :class:`~repro.graphs.edgelist.SparkGraph`.
-There each Krylov step (A A^T) b is one Spark job over column slices of
-b, as are the products A Om, A^T Q and A^T U. The block normalisation
-between steps and all small (k x k) algebra stay on the driver.
+touched only through a product provider's ``columns`` (see
+:mod:`repro.graphs.edgelist`), so one algorithm serves both backends:
+:func:`bksvd_local` runs it over two in-process matvecs, :func:`bksvd_spark`
+over a :class:`~repro.graphs.edgelist.SparkGraph`, where the whole Krylov
+chain is one Spark job over column slices of Omega. Only small algebra on
+k-sized blocks stays on the driver.
 
-Algorithm (square A, n x n): draw Gaussian Omega (n x b); build the Krylov
-block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om]; orthonormalize to Q;
+Algorithm (square A, n x n): draw Gaussian Omega (n x k); build the Krylov
+block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om], each column scaled to
+unit norm after every product (per-column scaling leaves span(K) as it is,
+and keeps the chain column-separable); orthonormalize to Q = K W;
 Rayleigh-Ritz on A A^T restricted to span(Q) gives U; a final small SVD of
-U^T A gives (S, V) and rotates U.
+U^T A gives (S, V) and rotates U. The chain also returns A^T of each Krylov
+block, so A^T Q and A^T U are combinations of those blocks, and the driver
+needs only the Grams K^T K and (A^T K)^T (A^T K). When fewer than k
+directions survive (a graph of rank below k), U and V are padded with zero
+columns and a ``RuntimeWarning`` names the kept rank.
 """
 from __future__ import annotations
 
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -60,17 +66,33 @@ def _final_svd(RtR: np.ndarray, k: int):
     return W2, sig, W2 * inv[None, :]
 
 
-def _make_krylov_step():
+def _make_krylov_chain(q: int):
     # Built inside a function so that cloudpickle ships it to Spark workers
     # by value; it may reference numpy only (see repro.graphs.edgelist).
-    def krylov_step(ops, b: np.ndarray) -> np.ndarray:
-        """One Krylov power ``(A A^T) b``; column-separable."""
-        return ops.spmv(ops.spmv_t(b))
 
-    return krylov_step
+    def unit(b: np.ndarray) -> np.ndarray:
+        # each column's norm is a sum over a contiguous row of b^T, which
+        # gives the same bits at every slice width (a norm along axis 0
+        # of b does not); zero columns stay zero
+        s = np.sqrt(np.square(np.ascontiguousarray(b.T)).sum(axis=1))
+        return b / np.where(s > 0, s, 1.0)
 
+    def krylov_chain(ops, omega: np.ndarray) -> np.ndarray:
+        """The Krylov blocks and their A^T products, column by column:
+        ``out[:, i] = b_i`` and ``out[:, q + 1 + i] = A^T b_i`` for
+        i = 0..q, with ``b_0 = unit(A omega)`` and
+        ``b_{i+1} = unit(A A^T b_i)``."""
+        n, w = omega.shape
+        out = np.empty((n, 2 * (q + 1), w))
+        b = unit(ops.spmv(omega))
+        for i in range(q + 1):
+            out[:, i] = b
+            out[:, q + 1 + i] = t = ops.spmv_t(b)
+            if i < q:
+                b = unit(ops.spmv(t))
+        return out
 
-krylov_step = _make_krylov_step()
+    return krylov_chain
 
 
 class _Matvecs(NamedTuple):
@@ -90,25 +112,27 @@ def _bksvd(
     q = default_q(n, eps, k) if q is None else q
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k))
-
-    def _normalize(b: np.ndarray) -> np.ndarray:
-        # scale per block so the Krylov Gram stays well-conditioned across
-        # q powers of A A^T (the span is unchanged)
-        s = np.linalg.norm(b)
-        return b / s if s > 0 else b
-
-    blocks = [_normalize(g.spmv(omega))]
-    for _ in range(q):
-        blocks.append(_normalize(g.columns(krylov_step, blocks[-1])))
-    K = np.hstack(blocks)
+    # (n, 2(q + 1), k) with k as the last axis, so this reshape is free and
+    # gives the columns [b_0 ... b_q | A^T b_0 ... A^T b_q]
+    Z = g.columns(_make_krylov_chain(q), omega).reshape(n, -1)
+    K, T = np.hsplit(Z, 2)
+    # Q = K W is orthonormal and A^T Q = T W, so neither is formed
     W, _ = _whiten(K.T @ K)
-    Q = K @ W
-    T = g.spmv_t(Q)  # A^T Q
-    Wr = _ritz(T.T @ T, k)
-    U = Q @ Wr
-    R = g.spmv_t(U)  # A^T U
+    Wr = _ritz(W.T @ (T.T @ T) @ W, k)
+    M = W @ Wr
+    U, R = K @ M, T @ M  # U = Q Wr and R = A^T U
     W2, sig, Vmul = _final_svd(R.T @ R, k)
-    return U @ W2, sig, R @ Vmul
+    U, V = U @ W2, R @ Vmul
+    rank = sig.size
+    if rank < k:
+        warnings.warn(
+            f"BKSVD kept rank {rank} < k = {k}; "
+            "U and V are padded with zero columns",
+            RuntimeWarning, stacklevel=3,
+        )
+        pad = ((0, 0), (0, k - rank))
+        U, V, sig = np.pad(U, pad), np.pad(V, pad), np.pad(sig, (0, k - rank))
+    return U, sig, V
 
 
 def bksvd_local(

@@ -124,8 +124,8 @@ def test_spark_backend_leaves_no_cached_rdds(spark, broadcasts):
 
 
 def test_spark_backend_job_count(spark):
-    # BKSVD: A Om, q Krylov steps (A A^T) b, A^T Q, A^T U; then the whole
-    # PPR loop (Alg. 1 lines 3-5) in one job
+    # the whole BKSVD Krylov chain (Alg. 1 line 1) in one job, then the
+    # whole PPR loop (Alg. 1 lines 3-5) in one job
     sc = spark.sparkContext
     q = 2
     sc.setJobGroup("test-approxppr-jobs", "approxppr job count")
@@ -136,4 +136,4 @@ def test_spark_backend_job_count(spark):
         for key in ("spark.jobGroup.id", "spark.job.description"):
             sc.setLocalProperty(key, None)
     jobs = sc.statusTracker().getJobIdsForGroup("test-approxppr-jobs")
-    assert len(jobs) == (1 + q + 2) + 1
+    assert len(jobs) == 2

@@ -1,4 +1,6 @@
 """BKSVD: spectral-norm guarantee and backend parity."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,19 @@ def test_bksvd_spark_reconstruction(spark):
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
     assert err <= 1.3 * exact[4] + 1e-8
     sg.unpersist()
+
+
+def test_bksvd_peak_memory():
+    # numpy reports its buffers to tracemalloc. The Krylov chain's output Z
+    # (q + 1 blocks and A^T of each, n x k apiece) is the one large array;
+    # forming K, Q and A^T Q as n x (q + 1) k matrices peaked at ~71 MB here
+    g = erdos_renyi(20_000, 200_000, seed=0)
+    g.csr(), g.csr_t()
+    k, q = 16, default_q(g.n, 0.2, 16)
+    tracemalloc.start()
+    try:
+        bksvd_local(g.spmv, g.spmv_t, g.n, k, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (q + 1) * g.n * k * 8 + 20 * 2**20

@@ -27,7 +27,7 @@ from repro.graphs.generators import (
     ring,
     star,
 )
-from repro.linalg.bksvd import krylov_step
+from repro.linalg.bksvd import _make_krylov_chain
 from repro.oracle import assert_equivalent
 
 
@@ -250,23 +250,24 @@ def _star_with_isolated():
 @pytest.mark.parametrize("k", [1, 3, 5])
 def test_spark_matvecs_bit_identical(spark, k):
     # k = 3 is below defaultParallelism (one column per slice); k = 5 above
-    # it on 4 cores (uneven slices)
+    # it on 4 cores (uneven slices). The Krylov chain's column norms must
+    # not depend on the slice width.
     rng = np.random.default_rng(k)
     chains = {
-        "krylov": krylov_step,
+        "krylov": _make_krylov_chain(2),
         "ppr": make_ppr_loop(0.15, 20),
         "ppr_cols": make_ppr_cols(0.15, 20),
     }
     for g in (_star_with_isolated(), erdos_renyi(50, 300, directed=True, seed=1)):
         sg = SparkGraph(spark, g)
         X = rng.standard_normal((g.n, k))
-        for name in ("spmv", "spmv_t"):
-            got = getattr(sg, name)(X)
+        for name in ("spmv", "spmv_t", "pmv"):
+            got = sg.columns(getattr(CSRProducts, name), X)
             assert np.array_equal(got, getattr(g, name)(X)), name
-        assert np.array_equal(sg.columns(CSRProducts.pmv, X), g.pmv(X))
         for name, fn in chains.items():
             assert np.array_equal(sg.columns(fn, X), g.columns(fn, X)), name
-        assert np.array_equal(sg.spmv(X[:, 0]), g.spmv(X[:, 0]))
+        got = sg.columns(CSRProducts.spmv, X[:, 0])
+        assert np.array_equal(got, g.spmv(X[:, 0]))
         sg.unpersist()
 
 
@@ -275,7 +276,7 @@ def test_spark_graph_unpersist_releases_blocks(spark, broadcasts):
     before = jsc.getPersistentRDDs().size()
     g = ring(12)
     sg = SparkGraph(spark, g)
-    sg.spmv(np.ones((g.n, 2)))
+    sg.columns(CSRProducts.spmv, np.ones((g.n, 2)))
     sg.arcs  # builds the cached arc DataFrame too
     assert jsc.getPersistentRDDs().size() > before
     assert broadcasts and all(b._jbroadcast.isValid() for b in broadcasts)
@@ -326,7 +327,7 @@ def test_spark_matvec_ships_without_repro(spark, monkeypatch, tmp_path):
     g = erdos_renyi(40, 200, directed=True, seed=2)
     sg = SparkGraph(spark, g)
     X = np.random.default_rng(0).standard_normal((g.n, 5))
-    sg.spmv(X)
+    sg.columns(CSRProducts.spmv, X)
     sg.unpersist()
     # the last job of an embed is the PPR loop (paper Alg. 1 lines 3-5)
     approxppr(g, 5, l1=4, q=1, backend="spark", spark=spark)

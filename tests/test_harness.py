@@ -8,7 +8,6 @@ from repro.baselines.registry import get_method
 from repro.core.nrp import nrp
 from repro.experiments import harness as H
 from repro.experiments.datasets import load_dataset
-from repro.graphs.generators import example_graph
 
 
 def test_table1_exact_matches_paper_rows():

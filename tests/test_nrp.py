@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.nrp import nrp
 from repro.core.approxppr import approxppr
+from repro.graphs.edgelist import LocalGraph
 from repro.graphs.generators import dcsbm, erdos_renyi, example_graph
 
 
@@ -88,3 +89,33 @@ def test_hub_gets_larger_forward_weight():
     g = example_graph()
     res = nrp(g, k=12, l2=10, lam=0.0, q=8, seed=0)
     assert res.wf[2] > res.wf[8]  # v3 (deg 4) vs v9 (deg 1)
+
+
+def _rank_short_graphs():
+    # graph, k and the rank BKSVD keeps, which is below k/2
+    leaves = np.arange(1, 50)
+    path = np.arange(5)
+    return [
+        pytest.param(LocalGraph.from_edges(np.zeros((0, 2)), 10, False), 4, 0,
+                     id="empty"),
+        pytest.param(LocalGraph.from_edges(
+            np.stack([np.zeros_like(leaves), leaves], axis=1), 50, True), 4, 1,
+            id="directed-star"),
+        pytest.param(LocalGraph.from_edges(
+            np.stack([path, path + 1], axis=1), 6, False), 16, 6, id="path"),
+    ]
+
+
+@pytest.mark.parametrize("g, k, rank", _rank_short_graphs())
+def test_rank_short_graph_gives_k_half_columns(spark, g, k, rank):
+    warning = f"kept rank {rank} < k = {k // 2};"
+    with pytest.warns(RuntimeWarning, match=warning):
+        rl = nrp(g, k=k, l2=2, seed=0)
+    with pytest.warns(RuntimeWarning, match=warning):
+        rs = nrp(g, k=k, l2=2, seed=0, backend="spark", spark=spark)
+    for res in (rl, rs):
+        for M in (res.X, res.Y):
+            assert M.shape == (g.n, k // 2) and np.all(np.isfinite(M))
+        assert np.all(res.wf >= 1 / g.n) and np.all(res.wb >= 1 / g.n)
+    for name in ("X", "Y", "wf", "wb"):
+        np.testing.assert_array_equal(getattr(rs, name), getattr(rl, name))
