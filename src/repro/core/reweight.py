@@ -10,8 +10,9 @@ Two implementations of the per-node terms (a1, a2, a3, b1, b2):
   the definitional Eq. (7)/(23): O(n k') per node. Test oracle only.
 * :func:`update_backward_weights` — the paper's O(n k'^2)-per-sweep fast
   path using the shared aggregates xi, chi, Lambda, rho1, rho2, phi
-  (Eqs. 9, 10, 13) with incremental rho updates (Eq. 11) as the sweep
-  visits nodes in random order, one chunk of nodes at a time.
+  (Eqs. 9, 10, 13; each one BLAS product over the nodes) with incremental
+  rho updates (Eq. 11) as the sweep visits nodes in random order, one
+  chunk of nodes at a time.
   :func:`update_forward_weights` is the same sweep with the roles of
   (X, w->, d_out) and (Y, w<-, d_in) swapped, which is all Appendix B's
   Eqs. (24)-(28) change.
@@ -131,16 +132,17 @@ class BackwardAggregates:
     phi: np.ndarray     # phi[r] = sum_u wf_u^2 X_u[r]^2         (k',)
 
 
-def backward_aggregates(X, Y, wf, wb, d_out) -> BackwardAggregates:
-    wx = wf[:, None] * X
-    xy = np.einsum("ij,ij->i", X, Y)
+def backward_aggregates(X, Y, wf, wb, d_out, xy) -> BackwardAggregates:
+    """The aggregates as vector-matrix (BLAS) products over the nodes;
+    ``xy`` is the row-wise X_v . Y_v, which the sweep also needs."""
+    w2 = wf * wf
     return BackwardAggregates(
-        xi=(d_out[:, None] * wx).sum(axis=0),
-        chi=wx.sum(axis=0),
-        Lam=(wf[:, None] ** 2 * X).T @ X,
-        rho1=(wb[:, None] * Y).sum(axis=0),
-        rho2=((wf**2 * wb * xy)[:, None] * X).sum(axis=0),
-        phi=(wf[:, None] ** 2 * X**2).sum(axis=0),
+        xi=(d_out * wf) @ X,
+        chi=wf @ X,
+        Lam=(w2[:, None] * X).T @ X,
+        rho1=wb @ Y,
+        rho2=(w2 * wb * xy) @ X,
+        phi=w2 @ (X * X),
     )
 
 
@@ -175,10 +177,10 @@ def update_backward_weights(
     if chunk is None:
         chunk = min(512, max(1, n // 16))
     wb = wb.copy()
-    ag = backward_aggregates(X, Y, wf, wb, d_out)
+    xy = np.einsum("ij,ij->i", X, Y)          # X_v . Y_v
+    ag = backward_aggregates(X, Y, wf, wb, d_out, xy)
     xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
     # per-node constants, vectorized once per sweep
-    xy = np.einsum("ij,ij->i", X, Y)          # X_v . Y_v
     a1_all = Y @ xi                           # xi Y_v^T
     chiY = Y @ chi                            # chi Y_v^T
     LamY = Y @ Lam                            # (n, k'): Lam Y_v^T rows

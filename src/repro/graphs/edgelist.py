@@ -78,7 +78,9 @@ def _make_segment_sum():
         (over the block's gather, rows by columns) sums each row's segment
         in the same order as one reduceat over the whole gather, so the
         bits depend neither on the blocking nor on X's width; empty rows
-        stay zero.
+        stay zero. The gather is ``X.take(..., axis=0)``: it gives the same
+        values as the fancy index ``X[...]`` but copies whole rows, about
+        twice as fast.
         """
         out = np.zeros((indptr.size - 1, X.shape[1]))
         rows = np.flatnonzero(np.diff(indptr))
@@ -96,7 +98,7 @@ def _make_segment_sum():
         for lo, hi in zip(cuts[:-1], cuts[1:]):
             a, b = bounds[lo], bounds[hi]
             out[rows[lo:hi]] = np.add.reduceat(
-                X[indices[a:b]], bounds[lo:hi] - a, axis=0
+                X.take(indices[a:b], axis=0), bounds[lo:hi] - a, axis=0
             )
         return out
 
@@ -131,6 +133,21 @@ def _make_csr_products():
 
 
 CSRProducts = _make_csr_products()
+
+
+def _csr(
+    keys: np.ndarray, vals: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) grouping ``vals`` by ``keys`` in ``0..n-1``; each
+    row keeps its arcs in input order (the stable order)."""
+    m = keys.size
+    # arc i's key keys[i] * m + i is unique, so one unstable sort gives the
+    # stable order; it is exact while n * m < 2**63, as canonical_edges'
+    # u * n + v key is while n * n < 2**63
+    order = np.sort(np.asarray(keys, np.int64) * m + np.arange(m)) % m
+    counts = np.bincount(keys, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    return indptr, vals[order]
 
 
 def _row_divisor(d_out: np.ndarray) -> np.ndarray:
@@ -235,25 +252,16 @@ class LocalGraph:
         return fn(self, X)
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) adjacency in CSR form for walk sampling."""
+        """(indptr, indices) adjacency in CSR form (arcs by src), read by
+        the products and the walk samplers."""
         if "csr" not in self._cache:
-            a = self.arcs
-            order = np.argsort(a[:, 0], kind="stable")
-            indices = a[order, 1]
-            counts = np.bincount(a[:, 0], minlength=self.n)
-            indptr = np.concatenate([[0], np.cumsum(counts)])
-            self._cache["csr"] = (indptr.astype(np.int64), indices)
+            self._cache["csr"] = _csr(self.arcs[:, 0], self.arcs[:, 1], self.n)
         return self._cache["csr"]
 
     def csr_t(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) of the transposed adjacency (arcs by dst)."""
         if "csr_t" not in self._cache:
-            a = self.arcs
-            order = np.argsort(a[:, 1], kind="stable")
-            indices = a[order, 0]
-            counts = np.bincount(a[:, 1], minlength=self.n)
-            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-            self._cache["csr_t"] = (indptr, indices)
+            self._cache["csr_t"] = _csr(self.arcs[:, 1], self.arcs[:, 0], self.n)
         return self._cache["csr_t"]
 
     def edge_key_set(self) -> set:

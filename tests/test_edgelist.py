@@ -195,6 +195,34 @@ def test_csr_structure():
     assert sorted(indices[indptr[0]:indptr[1]].tolist()) == [1, 2, 3, 4]
 
 
+def _dangling_isolated_graph():
+    # arcs leave only nodes 0..29, so 30..39 are dangling; 40..49 isolated
+    rng = np.random.default_rng(3)
+    e = np.column_stack([rng.integers(0, 30, 400), rng.integers(0, 40, 400)])
+    return LocalGraph.from_edges(e, 50, directed=True)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        _dangling_isolated_graph,
+        lambda: erdos_renyi(200, 800, seed=5),
+        lambda: LocalGraph.from_edges(np.empty((0, 2)), 7, directed=True),
+    ],
+    ids=["directed-dangling-isolated", "undirected", "empty"],
+)
+def test_csr_row_order_is_stable(make):
+    """Each CSR row lists its arcs in arc order: the products' summation
+    order and the walk samplers depend on it, not only on the row sets."""
+    g = make()
+    a = g.arcs
+    for (indptr, indices), c in ((g.csr(), 0), (g.csr_t(), 1)):
+        order = np.argsort(a[:, c], kind="stable")
+        counts = np.bincount(a[:, c], minlength=g.n)
+        assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(counts)]))
+        assert np.array_equal(indices, a[order, 1 - c])
+
+
 def test_edge_key_set():
     g = directed_cycle(3)
     keys = g.edge_key_set()

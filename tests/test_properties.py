@@ -1,8 +1,11 @@
-"""Property-based tests (hypothesis) for the pure-numpy substrates."""
+"""Property-based tests (hypothesis) for the pure-numpy substrates and
+NRP's output contract."""
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.nrp import nrp
 from repro.graphs.edgelist import LocalGraph, canonical_edges
 from repro.ppr.exact import ppr_dense
 from repro.tasks.metrics import auc_score, micro_macro_f1, precision_at_k
@@ -34,6 +37,35 @@ def test_degree_sums_match_arc_count(edges):
     g = LocalGraph.from_edges(e, 15, directed=True)
     assert g.d_out.sum() == g.arcs.shape[0]
     assert g.d_in.sum() == g.arcs.shape[0]
+
+
+@given(
+    st.integers(1, 15), edge_lists, st.booleans(),
+    st.integers(1, 16), st.integers(0, 2**16),
+)
+@example(n=10, edges=[], directed=True, k2=2, seed=0)  # empty graph
+@example(n=1, edges=[], directed=False, k2=4, seed=0)  # one node
+# node 1 dangling, node 2 isolated, k/2 >= n
+@example(n=3, edges=[(0, 1)], directed=True, k2=16, seed=0)
+@settings(max_examples=40, deadline=None)
+@pytest.mark.filterwarnings("ignore:BKSVD kept rank:RuntimeWarning")
+def test_nrp_output_contract(n, edges, directed, k2, seed):
+    """Width k/2, finite values, weights >= 1/n and the same bits for the
+    same seed, on graphs that may be empty, have dangling or isolated
+    nodes, or be smaller than k/2."""
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2) % n
+    g = LocalGraph.from_edges(e, n, directed)
+    res = nrp(g, 2 * k2, lam=1.0, seed=seed, backend="local")
+    for M in (res.X, res.Y):
+        assert M.shape == (n, k2)
+        assert np.isfinite(M).all()
+    assert (res.wf >= 1.0 / n).all() and (res.wb >= 1.0 / n).all()
+    again = nrp(
+        LocalGraph.from_edges(e, n, directed), 2 * k2, lam=1.0, seed=seed,
+        backend="local",
+    )
+    for f in ("X", "Y", "wf", "wb"):
+        assert np.array_equal(getattr(res, f), getattr(again, f))
 
 
 @given(edge_lists)

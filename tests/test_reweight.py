@@ -45,7 +45,7 @@ def test_backward_terms_fast_vs_naive(setup, vstar):
     X, Y, wf, wb, d_out, d_in = setup
     n, k2 = X.shape
     nv = naive_backward_terms(X, Y, wf, wb, d_out, d_in, vstar)
-    ag = backward_aggregates(X, Y, wf, wb, d_out)
+    ag = backward_aggregates(X, Y, wf, wb, d_out, np.einsum("ij,ij->i", X, Y))
     Yv, Xv = Y[vstar], X[vstar]
     xy = Xv @ Yv
     s = (ag.chi - wf[vstar] * Xv) @ Yv
@@ -75,7 +75,8 @@ def test_forward_terms_fast_vs_naive(setup, ustar):
     X, Y, wf, wb, d_out, d_in = setup
     n, k2 = X.shape
     nv = naive_forward_terms(X, Y, wf, wb, d_out, d_in, ustar)
-    ag = backward_aggregates(Y, X, wb, wf, d_in)  # Appendix B role swap
+    # Appendix B role swap
+    ag = backward_aggregates(Y, X, wb, wf, d_in, np.einsum("ij,ij->i", X, Y))
     Xu, Yu = X[ustar], Y[ustar]
     xy = Xu @ Yu
     s = (ag.chi - wb[ustar] * Yu) @ Xu
