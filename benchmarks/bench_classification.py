@@ -1,24 +1,11 @@
 """Bench for paper Fig. 6: node classification micro/macro F1."""
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import classification_table
-
-METHODS = ["nrp", "approxppr", "strap", "arope", "randne", "prone", "verse",
-           "deepwalk", "gae"]
+from repro.experiments.harness import run
 
 
 def test_fig6_classification(benchmark):
-    # k=64 (k'=32 per side) keeps the dual methods' per-side dimension
-    # above the 13-20 label counts, as the paper's k=128 does at full scale
     df = benchmark.pedantic(
-        lambda: classification_table(
-            ["wiki_lite", "blogcatalog_lite"], METHODS,
-            [0.1, 0.5, 0.9], k=64, seed=0,
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig6_classification"), rounds=1, iterations=1
     )
-    save(df, "fig6_classification")
     ok = df.dropna(subset=["micro_f1"])
     # shape: NRP is at or near the top (within 3% of the best method,
     # which per the paper may be ProNE on undirected graphs)

@@ -1,21 +1,12 @@
 """Bench for paper Fig. 7: embedding construction time, including the
 billion-edge stand-ins on which only scalable methods run."""
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import efficiency_table
-
-ALL = ["nrp", "approxppr", "strap", "arope", "randne", "prone",
-       "netmf", "deepwalk", "line", "app", "verse", "gae"]
-SCALABLE = ["nrp", "approxppr", "arope", "randne", "prone"]
+from repro.experiments.harness import run
 
 
 def test_fig7_efficiency_small(benchmark):
     df = benchmark.pedantic(
-        lambda: efficiency_table(["wiki_lite"], ALL, [32], seed=0),
-        rounds=1, iterations=1,
+        lambda: run("fig7_efficiency_small"), rounds=1, iterations=1
     )
-    save(df, "fig7_efficiency_small")
     ok = df.dropna(subset=["seconds"])
     nrp_t = float(ok[ok.method == "nrp"].seconds.iloc[0])
     # shape: the SGNS / neural group is slower than the PPR-factorization
@@ -26,13 +17,8 @@ def test_fig7_efficiency_small(benchmark):
 
 def test_fig7_efficiency_billion_edge_standins(benchmark):
     df = benchmark.pedantic(
-        lambda: efficiency_table(
-            ["twitter_lite", "friendster_lite"], SCALABLE + ["netmf", "gae"],
-            [32], seed=0,
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig7_efficiency_large"), rounds=1, iterations=1
     )
-    save(df, "fig7_efficiency_large")
     # the paper's headline: NRP finishes the billion-edge graphs; the
     # dense/neural methods are excluded
     ok = df.dropna(subset=["seconds"])

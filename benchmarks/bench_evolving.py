@@ -1,19 +1,11 @@
 """Bench for paper Appendix Fig. 9: link prediction on evolving graphs."""
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import evolving_table
-
-METHODS = ["nrp", "approxppr", "strap", "arope", "randne", "prone",
-           "verse", "app"]
+from repro.experiments.harness import run
 
 
 def test_fig9_evolving(benchmark):
     df = benchmark.pedantic(
-        lambda: evolving_table(["vk_lite", "digg_lite"], METHODS, k=32, seed=0),
-        rounds=1, iterations=1,
+        lambda: run("fig9_evolving"), rounds=1, iterations=1
     )
-    save(df, "fig9_evolving")
     ok = df.dropna(subset=["auc"])
     assert (ok.auc > 0.5).all()  # everyone beats chance on future edges
     # shape: the PPR-based dual-vector group (NRP/STRAP/ApproxPPR) leads

@@ -1,28 +1,17 @@
 """Bench for paper Fig. 4: link-prediction AUC.
 
 wiki_lite / blogcatalog_lite run the full method roster (k sweep on wiki);
-tweibo_lite runs the scalable subset. NRP's distributed ApproxPPR phase is
-exercised on wiki_lite via the session SparkSession.
+tweibo_lite runs the scalable subset. NRP and ApproxPPR embed on the
+session SparkSession in the small run.
 """
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import link_prediction_table
-
-SMALL_METHODS = ["nrp", "approxppr", "strap", "arope", "randne", "prone",
-                 "netmf", "deepwalk", "line", "app", "verse", "gae"]
-BIG_METHODS = ["nrp", "approxppr", "arope", "randne", "prone"]
+from repro.experiments.harness import run
 
 
 def test_fig4_link_prediction_small(benchmark, spark):
     df = benchmark.pedantic(
-        lambda: link_prediction_table(
-            ["wiki_lite", "blogcatalog_lite"], SMALL_METHODS, [32],
-            seed=0, spark=spark, spark_methods=("nrp",),
-        ),
+        lambda: run("fig4_link_prediction_small", spark),
         rounds=1, iterations=1,
     )
-    save(df, "fig4_link_prediction_small")
     ok = df.dropna(subset=["auc"])
     # headline shape: NRP beats its own unweighted baseline on every dataset
     for ds, sub in ok.groupby("dataset"):
@@ -34,24 +23,15 @@ def test_fig4_link_prediction_small(benchmark, spark):
 
 def test_fig4_link_prediction_k_sweep(benchmark):
     df = benchmark.pedantic(
-        lambda: link_prediction_table(
-            ["wiki_lite"], ["nrp", "approxppr", "arope", "prone"],
-            [16, 32, 64], seed=0,
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig4_link_prediction_k_sweep"), rounds=1, iterations=1
     )
-    save(df, "fig4_link_prediction_k_sweep")
     assert df.auc.notna().all()
 
 
 def test_fig4_link_prediction_large(benchmark):
     df = benchmark.pedantic(
-        lambda: link_prediction_table(
-            ["tweibo_lite"], BIG_METHODS + ["verse"], [32], seed=0
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig4_link_prediction_large"), rounds=1, iterations=1
     )
-    save(df, "fig4_link_prediction_large")
     ok = df.dropna(subset=["auc"])
     nrp = float(ok[ok.method == "nrp"].auc.iloc[0])
     assert nrp == ok.auc.max()  # directed graph: NRP's dual vectors win

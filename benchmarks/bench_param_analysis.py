@@ -1,23 +1,11 @@
 """Bench for paper Fig. 8: NRP AUC vs alpha, eps, l1, l2 on wiki_lite."""
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import param_sweep_table
+from repro.experiments.harness import run
 
 
 def test_fig8_param_analysis(benchmark):
     df = benchmark.pedantic(
-        lambda: param_sweep_table(
-            "wiki_lite",
-            alphas=(0.1, 0.15, 0.3, 0.5, 0.9),
-            epss=(0.1, 0.2, 0.5, 0.9),
-            l1s=(1, 5, 10, 20, 30),
-            l2s=(0, 2, 5, 10, 20),
-            k=32, seed=0,
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig8_param_analysis"), rounds=1, iterations=1
     )
-    save(df, "fig8_param_analysis")
     # shape claims from the paper:
     al = df[df.param == "alpha"].set_index("value").auc
     assert al[0.15] > al[0.9]          # large alpha kills high-order proximity

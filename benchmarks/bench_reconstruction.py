@@ -1,21 +1,11 @@
 """Bench for paper Fig. 5: graph reconstruction precision@K."""
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import reconstruction_table
-
-METHODS = ["nrp", "approxppr", "strap", "arope", "randne", "prone", "verse"]
+from repro.experiments.harness import run
 
 
 def test_fig5_reconstruction_all_pairs(benchmark):
     df = benchmark.pedantic(
-        lambda: reconstruction_table(
-            ["wiki_lite", "blogcatalog_lite"], METHODS,
-            [10, 100, 1000, 10_000, 100_000], k=32, seed=0,
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig5_reconstruction_all_pairs"), rounds=1, iterations=1
     )
-    save(df, "fig5_reconstruction_all_pairs")
     ok = df.dropna(subset=["precision"])
     # shape claims (paper Sec 5.3): NRP is near-perfect at small K and
     # degrades the slowest — best method at K = 10^4 on every dataset.
@@ -29,11 +19,6 @@ def test_fig5_reconstruction_all_pairs(benchmark):
 
 def test_fig5_reconstruction_sampled(benchmark):
     df = benchmark.pedantic(
-        lambda: reconstruction_table(
-            ["youtube_lite"], ["nrp", "approxppr", "arope", "randne", "prone"],
-            [10, 100, 1000], k=32, seed=0,
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig5_reconstruction_sampled"), rounds=1, iterations=1
     )
-    save(df, "fig5_reconstruction_sampled")
     assert df.precision.notna().all()

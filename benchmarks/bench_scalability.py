@@ -1,26 +1,15 @@
 """Bench for paper Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs
-(near-linear scaling in n and in m). The bench grid is the job's grid
-shrunk ~3x to keep the suite fast; jobs/fig10_scalability.py runs the
-full DESIGN.md grid."""
+(near-linear scaling in n and in m) on the ~3x-shrunk grid of the
+``fig10_scalability`` run."""
 import numpy as np
-import pandas as pd
 
-from benchmarks._util import save
-from repro.experiments.harness import scalability_table
+from repro.experiments.harness import run
 
 
 def test_fig10_scalability_local(benchmark):
     df = benchmark.pedantic(
-        lambda: scalability_table(
-            None,
-            ns=(20_000, 40_000, 60_000),
-            ms=(200_000, 400_000, 600_000),
-            fixed_n=60_000, fixed_m=600_000,
-            k=32, seed=0, backend="local",
-        ),
-        rounds=1, iterations=1,
+        lambda: run("fig10_scalability"), rounds=1, iterations=1
     )
-    save(df, "fig10_scalability")
     # near-linear: tripling the size must not blow up superlinearly (allow
     # 6x for cache effects at this small scale)
     for vary in ("n", "m"):
@@ -31,11 +20,7 @@ def test_fig10_scalability_local(benchmark):
 def test_fig10_scalability_spark_point(benchmark, spark):
     """One distributed end-to-end point: the NRP dataflow on Spark."""
     df = benchmark.pedantic(
-        lambda: scalability_table(
-            spark, ns=(20_000,), ms=(), fixed_m=200_000,
-            k=16, seed=0, backend="spark",
-        ),
+        lambda: run("fig10_scalability_spark_point", spark),
         rounds=1, iterations=1,
     )
-    save(df, "fig10_scalability_spark_point")
     assert len(df) == 1 and np.isfinite(df.seconds.iloc[0])

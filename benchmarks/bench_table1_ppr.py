@@ -1,15 +1,13 @@
 """Bench for paper Table 1: PPR on the Fig. 1 graph (exact + Spark)."""
 import numpy as np
 
-from benchmarks._util import save
-from repro.experiments.harness import TABLE1_PAPER, table1_ppr
+from repro.experiments.harness import TABLE1_PAPER, run
 
 
 def test_table1_ppr(benchmark, spark):
     df = benchmark.pedantic(
-        lambda: table1_ppr(spark), rounds=1, iterations=1
+        lambda: run("table1_ppr", spark), rounds=1, iterations=1
     )
-    save(df, "table1_ppr")
     # rows v2/v4/v9 must match the paper to table rounding; spark == exact
     for src in ("v2", "v4", "v9"):
         sub = df[df.source == src]

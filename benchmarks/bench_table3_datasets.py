@@ -1,16 +1,11 @@
 """Bench for paper Tables 3 & 4: lite dataset construction + statistics."""
-import pandas as pd
-
-from benchmarks._util import save
-from repro.experiments.harness import datasets_table, evolving_datasets_table
+from repro.experiments.harness import run
 
 
 def test_table3_and_4_datasets(benchmark):
-    def run():
-        return datasets_table(), evolving_datasets_table()
-
-    t3, t4 = benchmark.pedantic(run, rounds=1, iterations=1)
-    save(t3, "table3_datasets")
-    save(t4, "table4_evolving_datasets")
+    t3, t4 = benchmark.pedantic(
+        lambda: (run("table3_datasets"), run("table4_evolving_datasets")),
+        rounds=1, iterations=1,
+    )
     assert len(t3) == 7 and len(t4) == 2
     assert set(t3.type) == {"directed", "undirected"}

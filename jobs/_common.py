@@ -1,36 +1,3 @@
-"""Shared SparkSession builder for the spark-submit job entrypoints.
-
-Jobs are thin wrappers over repro.experiments.harness functions, which take
-a SparkSession (or None for local-backend runs) and return DataFrames.
-Under spark-submit the master/memory come from the submit arguments; run
-standalone they default to local[*].
-"""
-from __future__ import annotations
-
-import argparse
-
-from pyspark.sql import SparkSession
-
-
-def build_session(app: str) -> SparkSession:
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
-
-
-def base_parser(desc: str) -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(description=desc)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", type=str, default=None,
-                   help="optional CSV path for the table rows")
-    return p
-
-
-def finish(df, args) -> None:
-    if args.out:
-        df.to_csv(args.out, index=False)
-        print(f"wrote {args.out}")
+# nrpbench/run.py and nrpbench/check_spans.py import build_session from
+# here, until the benchmark change of ROADMAP item 1 retargets them.
+from repro.experiments.harness import build_session  # noqa: F401

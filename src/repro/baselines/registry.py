@@ -1,6 +1,6 @@
 """Method registry: one entry per embedding method evaluated in the
-reproduction, with the capability flags the harness needs (directed-native
-scoring, scale caps mirroring the paper's 7-day cutoff, category)."""
+reproduction, with the capability flags the harness needs (dual vectors,
+scale caps mirroring the paper's 7-day cutoff, category)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -47,7 +47,6 @@ class Method:
     fn: Callable[..., Embedding]      # (graph, k, seed, spark=None) -> Embedding
     group: str                        # paper's category
     dual: bool                        # produces forward + backward vectors
-    directed_native: bool             # handles edge direction natively
     max_n: int | None = None          # scale cap (paper's 7-day analogue)
     spark_capable: bool = False       # accepts spark= for distributed phase
 
@@ -74,22 +73,22 @@ def _wrap(fn):
 
 
 METHODS: dict[str, Method] = {
-    "nrp": Method("nrp", _nrp_embed, "ours", True, True, None, True),
+    "nrp": Method("nrp", _nrp_embed, "ours", True, None, True),
     "approxppr": Method(
-        "approxppr", _approxppr_embed, "ours", True, True, None, True
+        "approxppr", _approxppr_embed, "ours", True, None, True
     ),
-    "strap": Method("strap", _wrap(strap), "factorization", True, True, 6000),
-    "arope": Method("arope", _wrap(arope), "factorization", False, False, None),
-    "randne": Method("randne", _wrap(randne), "factorization", False, False, None),
-    "prone": Method("prone", _wrap(prone), "factorization", False, False, None),
-    "netmf": Method("netmf", _wrap(netmf), "factorization", False, False, 4000),
+    "strap": Method("strap", _wrap(strap), "factorization", True, 6000),
+    "arope": Method("arope", _wrap(arope), "factorization", False, None),
+    "randne": Method("randne", _wrap(randne), "factorization", False, None),
+    "prone": Method("prone", _wrap(prone), "factorization", False, None),
+    "netmf": Method("netmf", _wrap(netmf), "factorization", False, 4000),
     # SGNS / neural caps mirror the paper's 7-day cutoff at our scale:
     # numpy SGD over walks is exactly the cost the paper's Fig. 7 punishes
-    "deepwalk": Method("deepwalk", _wrap(deepwalk), "random-walk", False, False, 5000),
-    "line": Method("line", _wrap(line), "random-walk", False, False, 12000),
-    "app": Method("app", _wrap(app), "random-walk", True, True, 5000),
-    "verse": Method("verse", _wrap(verse), "random-walk", False, False, 5000),
-    "gae": Method("gae", _wrap(gae), "neural", False, False, 2500),
+    "deepwalk": Method("deepwalk", _wrap(deepwalk), "random-walk", False, 5000),
+    "line": Method("line", _wrap(line), "random-walk", False, 12000),
+    "app": Method("app", _wrap(app), "random-walk", True, 5000),
+    "verse": Method("verse", _wrap(verse), "random-walk", False, 5000),
+    "gae": Method("gae", _wrap(gae), "neural", False, 2500),
 }
 
 

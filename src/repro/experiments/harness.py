@@ -2,7 +2,9 @@
 
 Each function reproduces one table/figure of the paper's evaluation: it
 runs the workload, prints the table rows, and returns them as a pandas
-DataFrame so jobs and benchmarks share one implementation.
+DataFrame. :data:`RUNS` names the one configuration behind each
+``results/<name>.csv``; :func:`run` builds it, for both the command line
+(``python -m repro.experiments``) and the benchmarks.
 
 Protocol notes (paper Section 5.2):
 * dual-vector methods (NRP, ApproxPPR, STRAP, APP, AROPE) score (u, v) as
@@ -15,7 +17,13 @@ Protocol notes (paper Section 5.2):
 """
 from __future__ import annotations
 
+import json
+import os
+import subprocess
 import time
+from functools import partial
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pandas as pd
@@ -47,6 +55,19 @@ TABLE1_PAPER = {
     "v7": [0.036, 0.043, 0.056, 0.043, 0.093, 0.137, 0.29, 0.187, 0.12],
     "v9": [0.02, 0.024, 0.031, 0.024, 0.056, 0.083, 0.168, 0.311, 0.282],
 }
+
+
+def build_session(app: str) -> SparkSession:
+    """The SparkSession of every experiment, test and benchmark run. Master
+    and driver memory come from the launch (``PYSPARK_SUBMIT_ARGS`` or
+    spark-submit), else pyspark's ``local[*]``."""
+    return (
+        SparkSession.builder.appName(app)
+        .config("spark.sql.shuffle.partitions", "64")
+        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
+        .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .getOrCreate()
+    )
 
 
 def _print(df: pd.DataFrame, title: str) -> pd.DataFrame:
@@ -143,9 +164,9 @@ def link_prediction_table(
     *,
     seed: int = 0,
     spark: SparkSession | None = None,
-    spark_methods: tuple[str, ...] = (),
 ) -> pd.DataFrame:
-    """Fig. 4: link-prediction AUC vs embedding dimensionality k."""
+    """Fig. 4: link-prediction AUC vs embedding dimensionality k. With
+    ``spark``, the Spark-capable methods (NRP, ApproxPPR) embed on it."""
     rows = []
     for ds in datasets:
         b = load_dataset(ds)
@@ -159,8 +180,7 @@ def link_prediction_table(
                 )
                 continue
             for k in ks:
-                sp = spark if name in spark_methods else None
-                emb, _ = _embed_timed(m, split.train, k, seed, sp)
+                emb, _ = _embed_timed(m, split.train, k, seed, spark)
                 auc = link_prediction_auc(
                     emb, split, protocol=protocol_for(m, b.graph), seed=seed
                 )
@@ -180,7 +200,6 @@ def reconstruction_table(
     k: int = 32,
     sample_above_n: int = 4000,
     seed: int = 0,
-    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Fig. 5: graph reconstruction precision@K (all pairs on small graphs,
     a 1%-of-pairs sample on larger ones — the paper's protocol)."""
@@ -199,7 +218,7 @@ def reconstruction_table(
                 continue
             emb, _ = _embed_timed(m, b.graph, k, seed, None)
             prec = reconstruction_precision(
-                emb, b.graph, ks_eval, sample=sample, seed=seed, spark=spark
+                emb, b.graph, ks_eval, sample=sample, seed=seed
             )
             for K, p in prec.items():
                 rows.append({"dataset": ds, "method": name, "K": K,
@@ -247,8 +266,6 @@ def efficiency_table(
     ks: list[int],
     *,
     seed: int = 0,
-    spark: SparkSession | None = None,
-    spark_methods: tuple[str, ...] = (),
 ) -> pd.DataFrame:
     """Fig. 7: embedding construction time vs k (excluded methods mirror the
     paper's 7-day cutoff via scale caps)."""
@@ -262,8 +279,7 @@ def efficiency_table(
                              "seconds": None, "note": "excluded (scale cap)"})
                 continue
             for k in ks:
-                sp = spark if name in spark_methods else None
-                _, secs = _embed_timed(m, b.graph, k, seed, sp)
+                _, secs = _embed_timed(m, b.graph, k, seed, None)
                 rows.append({"dataset": ds, "method": name, "k": k,
                              "seconds": round(secs, 3), "note": ""})
     return _print(pd.DataFrame(rows), "Fig 7: embedding construction time (s)")
@@ -361,11 +377,12 @@ def scalability_table(
     l1: int = 20,
     l2: int = 10,
     seed: int = 0,
-    backend: str = "local",
 ) -> pd.DataFrame:
     """Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs, varying n at
     fixed m and m at fixed n (paper used n up to 1e6, m up to 1e8; we scale
-    both down 10x — DESIGN.md §3). ``lam=1`` as in every quality table."""
+    both down 10x — DESIGN.md §3). ``lam=1`` as in every quality table.
+    NRP runs on the Spark backend when ``spark`` is given."""
+    backend = "spark" if spark is not None else "local"
     rows = []
     for n in ns:
         g = erdos_renyi(n, fixed_m, seed=seed, name=f"er_n{n}")
@@ -385,3 +402,131 @@ def scalability_table(
         pd.DataFrame(rows),
         f"Fig 10: NRP scalability on Erdos-Renyi graphs ({backend} backend)",
     )
+
+
+# ------------------------------------------------------------- named runs
+RESULTS_DIR = Path(__file__).resolve().parents[3] / "results"
+
+ALL_METHODS = ["nrp", "approxppr", "strap", "arope", "randne", "prone",
+               "netmf", "deepwalk", "line", "app", "verse", "gae"]
+SCALABLE = ["nrp", "approxppr", "arope", "randne", "prone"]
+
+
+class Run(NamedTuple):
+    table: Callable[..., pd.DataFrame]  # one harness call, seed 0
+    spark: bool = False                 # called with spark=<session>
+
+
+#: The configuration behind each ``results/<name>.csv``. The harness
+#: functions' own defaults (e.g. the full Fig. 10 grid) stay one call away.
+RUNS: dict[str, Run] = {
+    "table1_ppr": Run(table1_ppr, spark=True),
+    "table3_datasets": Run(datasets_table),
+    "table4_evolving_datasets": Run(evolving_datasets_table),
+    "fig4_link_prediction_small": Run(partial(
+        link_prediction_table, ["wiki_lite", "blogcatalog_lite"],
+        ALL_METHODS, [32],
+    ), spark=True),
+    "fig4_link_prediction_k_sweep": Run(partial(
+        link_prediction_table, ["wiki_lite"],
+        ["nrp", "approxppr", "arope", "prone"], [16, 32, 64],
+    )),
+    "fig4_link_prediction_large": Run(partial(
+        link_prediction_table, ["tweibo_lite"], SCALABLE + ["verse"], [32],
+    )),
+    "fig5_reconstruction_all_pairs": Run(partial(
+        reconstruction_table, ["wiki_lite", "blogcatalog_lite"],
+        ["nrp", "approxppr", "strap", "arope", "randne", "prone", "verse"],
+        [10, 100, 1000, 10_000, 100_000], k=32,
+    )),
+    "fig5_reconstruction_sampled": Run(partial(
+        reconstruction_table, ["youtube_lite"], SCALABLE, [10, 100, 1000],
+        k=32,
+    )),
+    # k=64 (k'=32 per side) keeps the dual methods' per-side dimension
+    # above the 13-20 label counts, as the paper's k=128 does at full scale
+    "fig6_classification": Run(partial(
+        classification_table, ["wiki_lite", "blogcatalog_lite"],
+        ["nrp", "approxppr", "strap", "arope", "randne", "prone", "verse",
+         "deepwalk", "gae"],
+        [0.1, 0.5, 0.9], k=64,
+    )),
+    "fig7_efficiency_small": Run(partial(
+        efficiency_table, ["wiki_lite"], ALL_METHODS, [32],
+    )),
+    "fig7_efficiency_large": Run(partial(
+        efficiency_table, ["twitter_lite", "friendster_lite"],
+        SCALABLE + ["netmf", "gae"], [32],
+    )),
+    "fig8_param_analysis": Run(partial(
+        param_sweep_table, "wiki_lite",
+        alphas=(0.1, 0.15, 0.3, 0.5, 0.9), epss=(0.1, 0.2, 0.5, 0.9),
+        l1s=(1, 5, 10, 20, 30), l2s=(0, 2, 5, 10, 20), k=32,
+    )),
+    "fig9_evolving": Run(partial(
+        evolving_table, ["vk_lite", "digg_lite"],
+        ["nrp", "approxppr", "strap", "arope", "randne", "prone", "verse",
+         "app"],
+        k=32,
+    )),
+    # the full grid shrunk ~3x to keep the run short
+    "fig10_scalability": Run(partial(
+        scalability_table, None, ns=(20_000, 40_000, 60_000),
+        ms=(200_000, 400_000, 600_000), fixed_n=60_000, fixed_m=600_000,
+        k=32,
+    )),
+    "fig10_scalability_spark_point": Run(partial(
+        scalability_table, ns=(20_000,), ms=(), fixed_m=200_000, k=16,
+    ), spark=True),
+    # tweibo_lite (n = 15K) is large enough that the l1 effect (matvec
+    # count) dominates timing noise (EXPERIMENTS.md E-RTP)
+    "fig11_runtime_params": Run(partial(
+        param_sweep_table, "tweibo_lite", alphas=(0.15, 0.9),
+        epss=(0.2, 0.9), l1s=(5, 40), l2s=(0, 30), k=32, measure_time=True,
+    )),
+}
+
+
+def _commit() -> str:
+    """HEAD's hash, suffixed ``-dirty`` when the tree outside results/
+    differs from it."""
+    root = RESULTS_DIR.parent
+    try:
+        head = subprocess.run(
+            ["git", "-C", str(root), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "-C", str(root), "status", "--porcelain", "--", ".",
+             ":(exclude)results"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return head + ("-dirty" if dirty else "")
+
+
+def run(name: str, spark: SparkSession | None = None) -> pd.DataFrame:
+    """Build the table of ``RUNS[name]``, write ``results/<name>.csv`` and
+    record the commit, machine and seconds under ``name`` in
+    ``results/MANIFEST.json``."""
+    entry = RUNS[name]
+    if entry.spark and spark is None:
+        raise ValueError(f"run {name!r} needs a SparkSession")
+    t0 = time.perf_counter()
+    df = entry.table(spark=spark) if entry.spark else entry.table()
+    seconds = time.perf_counter() - t0
+    RESULTS_DIR.mkdir(exist_ok=True)
+    df.to_csv(RESULTS_DIR / f"{name}.csv", index=False)
+    path = RESULTS_DIR / "MANIFEST.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    manifest[name] = {
+        "commit": _commit(),
+        "nproc": os.cpu_count(),
+        "mem_gb": round(
+            os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**30, 1
+        ),
+        "seconds": round(seconds, 2),
+    }
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return df

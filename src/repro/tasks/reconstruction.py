@@ -4,19 +4,12 @@ Score a candidate set S of node pairs (all pairs on small graphs, a uniform
 sample otherwise), rank by score, and measure precision@K: the fraction of
 the top-K pairs that are actual edges of G.
 
-Two scorers:
-* :func:`topk_pairs_numpy` — blocked dense scoring on the driver (oracle);
-* :func:`topk_pairs_spark` — distributed: each partition of source nodes
-  scores against the broadcast right-embedding matrix with mapInPandas,
-  keeps its local top-K, and a global sort merges them. Parity-tested
-  against the numpy scorer.
+All pairs are scored by :func:`topk_pairs_numpy`, blocked dense scoring
+on the driver.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
@@ -58,46 +51,6 @@ def topk_pairs_numpy(
     return p[order]
 
 
-def topk_pairs_spark(
-    spark: SparkSession, emb: Embedding, g: LocalGraph, k: int
-) -> np.ndarray:
-    """Distributed top-k candidate pairs (same semantics as the numpy
-    scorer): partitions of source nodes each keep a local top-k."""
-    n, directed = g.n, g.directed
-    bX = spark.sparkContext.broadcast(emb.X)
-    bR = spark.sparkContext.broadcast(_right(emb))
-
-    def score_block(batches):
-        X, R = bX.value, bR.value
-        for pdf in batches:
-            rows = pdf["id"].to_numpy()
-            S = X[rows] @ R.T
-            S[np.arange(len(rows)), rows] = -np.inf
-            if not directed:
-                cols = np.arange(n)
-                S[cols[None, :] <= rows[:, None]] = -np.inf
-            flat = S.ravel()
-            take = min(k, flat.size)
-            idx = np.argpartition(flat, -take)[-take:]
-            yield pd.DataFrame(
-                {
-                    "u": rows[idx // n],
-                    "v": idx % n,
-                    "score": flat[idx],
-                }
-            )
-
-    out = (
-        spark.range(n)
-        .repartition(max(2, n // 2048))
-        .mapInPandas(score_block, schema="u long, v long, score double")
-        .orderBy(F.desc("score"), "u", "v")
-        .limit(k)
-        .toPandas()
-    )
-    return out[["u", "v"]].to_numpy()
-
-
 def sample_candidate_pairs(
     g: LocalGraph, count: int, seed: int = 0
 ) -> np.ndarray:
@@ -137,18 +90,13 @@ def reconstruction_precision(
     *,
     sample: int | None = None,
     seed: int = 0,
-    spark: SparkSession | None = None,
 ) -> dict[int, float]:
     """precision@K for each K in ``ks``. ``sample``: number of candidate
-    pairs to draw (None = all pairs). ``spark``: use the distributed
-    scorer for the all-pairs path."""
+    pairs to draw (None = all pairs)."""
     keys = g.edge_key_set()
     kmax = max(ks)
     if sample is None:
-        if spark is not None:
-            top = topk_pairs_spark(spark, emb, g, kmax)
-        else:
-            top = topk_pairs_numpy(emb, g, kmax)
+        top = topk_pairs_numpy(emb, g, kmax)
     else:
         cand = sample_candidate_pairs(g, sample, seed)
         scores = emb.score_pairs(cand)

@@ -13,7 +13,6 @@ from repro.tasks.reconstruction import (
     reconstruction_precision,
     sample_candidate_pairs,
     topk_pairs_numpy,
-    topk_pairs_spark,
 )
 from repro.tasks.split import link_prediction_split
 
@@ -81,16 +80,6 @@ def test_topk_numpy_matches_exhaustive(bundle, nrp_emb):
     want = set(zip(flat // g.n, flat % g.n))
     got = set(map(tuple, top.tolist()))
     assert got == want
-
-
-def test_topk_spark_matches_numpy(spark, bundle, nrp_emb):
-    g, _ = bundle
-    got = topk_pairs_spark(spark, nrp_emb, g, 40)
-    want = topk_pairs_numpy(nrp_emb, g, 40)
-    # same score set (ordering of exact ties may differ)
-    s_got = sorted(nrp_emb.score_pairs(got).tolist())
-    s_want = sorted(nrp_emb.score_pairs(want).tolist())
-    np.testing.assert_allclose(s_got, s_want, atol=1e-12)
 
 
 def test_reconstruction_sampled_protocol(bundle, nrp_emb):
