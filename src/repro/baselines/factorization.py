@@ -72,13 +72,10 @@ def netmf(
     T: int = 10,
     b: float = 1.0,
     seed: int = 0,
-    max_n: int = 4000,
 ) -> Embedding:
     """NetMF (Qiu et al., WSDM'18): factorize the closed-form DeepWalk
     matrix M = log max(1, vol/(bT) (sum_{r<=T} P^r) D^-1). Materializes a
-    dense n x n matrix — scale-capped exactly like the paper's runs."""
-    if g.n > max_n:
-        raise ValueError(f"netmf is dense O(n^2); capped at n <= {max_n}")
+    dense n x n matrix — scale-capped (in the registry) like the paper's runs."""
     gs = _symmetrized(g)
     P = gs.transition()
     d = np.maximum(gs.d_out, 1.0)
@@ -156,13 +153,10 @@ def strap(
     delta: float = 1e-4,
     iters: int = 20,
     seed: int = 0,
-    max_n: int = 6000,
 ) -> Embedding:
     """STRAP (Yin & Wei, KDD'19): factorize the transpose proximity matrix
     M = Pi + Pi~^T, where Pi / Pi~ are delta-thresholded PPR matrices of G
     and its transpose (entries <= delta/2 dropped, as in the paper)."""
-    if g.n > max_n:
-        raise ValueError(f"strap materializes thresholded PPR; n <= {max_n}")
     k2 = max(k // 2, 1)
     pi = ppr_dense(g, alpha, iters=iters)
     pi[pi <= delta / 2.0] = 0.0

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.factorization import _symmetrized
 from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
 
@@ -18,17 +19,11 @@ def gae(
     epochs: int = 120,
     lr: float = 0.02,
     seed: int = 0,
-    max_n: int = 3000,
 ) -> Embedding:
     """Z = tanh(A_hat W); decoder sigmoid(Z Z^T) vs the (symmetrized)
     adjacency, with class rebalancing for sparsity."""
-    if g.n > max_n:
-        raise ValueError(f"gae is dense O(n^2); capped at n <= {max_n}")
     n = g.n
-    gs = g if not g.directed else LocalGraph.from_edges(
-        g.edges, n, directed=False, name=g.name + "_sym"
-    )
-    A = gs.adjacency()
+    A = _symmetrized(g).adjacency()
     d = A.sum(1) + 1.0
     Ahat = (A + np.eye(n)) / np.sqrt(d)[:, None] / np.sqrt(d)[None, :]
     rng = np.random.default_rng(seed)

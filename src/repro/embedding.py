@@ -20,17 +20,17 @@ class Embedding:
     def dual(self) -> bool:
         return self.Y is not None
 
+    @property
+    def right(self) -> np.ndarray:
+        """The vectors on the right of a pair score: Y for dual-vector
+        methods, X otherwise."""
+        return self.Y if self.dual else self.X
+
     def score_pairs(self, pairs: np.ndarray) -> np.ndarray:
         """Inner-product proximity score for (u, v) pairs: X_u . Y_v for
         dual-vector methods, X_u . X_v otherwise (paper Section 5.2)."""
         u, v = pairs[:, 0], pairs[:, 1]
-        right = self.Y if self.dual else self.X
-        return np.einsum("ij,ij->i", self.X[u], right[v])
-
-    def score_matrix(self) -> np.ndarray:
-        """Full n x n score matrix (small n only)."""
-        right = self.Y if self.dual else self.X
-        return self.X @ right.T
+        return np.einsum("ij,ij->i", self.X[u], self.right[v])
 
     def features(self) -> np.ndarray:
         """Per-node feature representation for classification (paper §5.4):

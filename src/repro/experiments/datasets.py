@@ -56,19 +56,15 @@ def load_dataset(name: str) -> DatasetBundle:
     seed = {k: i * 101 + 7 for i, k in enumerate(_SPECS)}[name]
     # closure=0.25 layers triadic closure over the block structure; see
     # generators.dcsbm — this is what gives PPR-style local proximity its
-    # role beyond the global spectrum, as in the real corpora
-    if n_comm > 0:
-        g, labels = dcsbm(
-            n, m, n_comm, directed=directed, p_in=p_in, closure=0.25,
-            seed=seed, name=name,
-        )
-    else:
-        g, labels = dcsbm(
-            n, m, 25, directed=directed, p_in=p_in, closure=0.25,
-            seed=seed, name=name,
-        )
-        labels = None  # unlabeled in the paper (Twitter/Friendster)
-    return DatasetBundle(g, labels, name, paper_name, pn, pm)
+    # role beyond the global spectrum, as in the real corpora. The unlabeled
+    # datasets (n_comm = 0: Twitter/Friendster in the paper) get 25 blocks.
+    g, labels = dcsbm(
+        n, m, n_comm or 25, directed=directed, p_in=p_in, closure=0.25,
+        seed=seed, name=name,
+    )
+    return DatasetBundle(
+        g, labels if n_comm else None, name, paper_name, pn, pm
+    )
 
 
 @lru_cache(maxsize=None)

@@ -76,10 +76,6 @@ def _print(df: pd.DataFrame, title: str) -> pd.DataFrame:
     return df
 
 
-def eligible(method: Method, g: LocalGraph) -> bool:
-    return method.max_n is None or g.n <= method.max_n
-
-
 def protocol_for(method: Method, g: LocalGraph) -> str:
     if method.dual:
         return "inner"
@@ -145,18 +141,6 @@ def evolving_datasets_table() -> pd.DataFrame:
 
 
 # ------------------------------------------------------------- Fig 4 (LP)
-def _embed_timed(
-    method: Method,
-    g: LocalGraph,
-    k: int,
-    seed: int,
-    spark: SparkSession | None,
-) -> tuple[Embedding, float]:
-    t0 = time.perf_counter()
-    emb = method.embed(g, k, seed=seed, spark=spark)
-    return emb, time.perf_counter() - t0
-
-
 def link_prediction_table(
     datasets: list[str],
     methods: list[str],
@@ -173,14 +157,14 @@ def link_prediction_table(
         split = link_prediction_split(b.graph, frac=0.3, seed=seed)
         for name in methods:
             m = get_method(name)
-            if not eligible(m, b.graph):
+            if not m.fits(b.graph):
                 rows.append(
                     {"dataset": ds, "method": name, "k": None, "auc": None,
                      "note": "excluded (scale cap, cf. paper's 7-day cutoff)"}
                 )
                 continue
             for k in ks:
-                emb, _ = _embed_timed(m, split.train, k, seed, spark)
+                emb = m.embed(split.train, k, seed=seed, spark=spark)
                 auc = link_prediction_auc(
                     emb, split, protocol=protocol_for(m, b.graph), seed=seed
                 )
@@ -212,11 +196,11 @@ def reconstruction_table(
             sample = min(int(0.01 * n * (n - 1) / 2), 2_000_000)
         for name in methods:
             m = get_method(name)
-            if not eligible(m, b.graph):
+            if not m.fits(b.graph):
                 rows.append({"dataset": ds, "method": name, "K": None,
                              "precision": None, "note": "excluded (scale cap)"})
                 continue
-            emb, _ = _embed_timed(m, b.graph, k, seed, None)
+            emb = m.embed(b.graph, k, seed=seed)
             prec = reconstruction_precision(
                 emb, b.graph, ks_eval, sample=sample, seed=seed
             )
@@ -243,12 +227,12 @@ def classification_table(
             continue
         for name in methods:
             m = get_method(name)
-            if not eligible(m, b.graph):
+            if not m.fits(b.graph):
                 rows.append({"dataset": ds, "method": name, "ratio": None,
                              "micro_f1": None, "macro_f1": None,
                              "note": "excluded (scale cap)"})
                 continue
-            emb, _ = _embed_timed(m, b.graph, k, seed, None)
+            emb = m.embed(b.graph, k, seed=seed)
             for r in ratios:
                 micro, macro = node_classification_f1(
                     emb, b.labels, train_ratio=r, seed=seed
@@ -274,14 +258,16 @@ def efficiency_table(
         b = load_dataset(ds)
         for name in methods:
             m = get_method(name)
-            if not eligible(m, b.graph):
+            if not m.fits(b.graph):
                 rows.append({"dataset": ds, "method": name, "k": None,
                              "seconds": None, "note": "excluded (scale cap)"})
                 continue
             for k in ks:
-                _, secs = _embed_timed(m, b.graph, k, seed, None)
+                t0 = time.perf_counter()
+                m.embed(b.graph, k, seed=seed)
                 rows.append({"dataset": ds, "method": name, "k": k,
-                             "seconds": round(secs, 3), "note": ""})
+                             "seconds": round(time.perf_counter() - t0, 3),
+                             "note": ""})
     return _print(pd.DataFrame(rows), "Fig 7: embedding construction time (s)")
 
 
@@ -305,6 +291,9 @@ def param_sweep_table(
     split = link_prediction_split(b.graph, frac=0.3, seed=seed)
     defaults = dict(alpha=0.15, eps=0.2, l1=20, l2=10, lam=lam)
     grids = {"alpha": alphas, "eps": epss, "l1": l1s, "l2": l2s}
+    if measure_time:
+        # discarded warm-up, so the first grid point is not timed cold
+        nrp(split.train, k, seed=seed, **defaults)
     rows = []
     for pname, grid in grids.items():
         for val in grid:
@@ -352,11 +341,11 @@ def evolving_table(
         split = LinkSplit(train=g_old, test_pairs=pairs, test_labels=labels)
         for name in methods:
             m = get_method(name)
-            if not eligible(m, g_old):
+            if not m.fits(g_old):
                 rows.append({"dataset": ds, "method": name, "auc": None,
                              "note": "excluded (scale cap)"})
                 continue
-            emb, _ = _embed_timed(m, g_old, k, seed, None)
+            emb = m.embed(g_old, k, seed=seed)
             auc = link_prediction_auc(
                 emb, split, protocol=protocol_for(m, g_old), seed=seed
             )
@@ -513,6 +502,9 @@ def run(name: str, spark: SparkSession | None = None) -> pd.DataFrame:
     entry = RUNS[name]
     if entry.spark and spark is None:
         raise ValueError(f"run {name!r} needs a SparkSession")
+    # rebuild the datasets, so the seconds do not depend on the runs before
+    load_dataset.cache_clear()
+    load_evolving.cache_clear()
     t0 = time.perf_counter()
     df = entry.table(spark=spark) if entry.spark else entry.table()
     seconds = time.perf_counter() - t0

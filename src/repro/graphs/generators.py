@@ -132,6 +132,22 @@ def dcsbm(
     return g, labels
 
 
+def _wedge_ends(
+    g: LocalGraph, size: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Draw ``size`` two-hop walks u -> v -> w over ``g``'s arcs from
+    uniform non-isolated starts u; returns (u, w) of the walks whose middle
+    node v has out-arcs (the open wedges a new edge u -> w would close)."""
+    indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    u = rng.choice(np.where(deg > 0)[0], size=size)
+    v = indices[indptr[u] + (rng.random(size) * deg[u]).astype(np.int64)]
+    ok = deg[v] > 0
+    u, v = u[ok], v[ok]
+    w = indices[indptr[v] + (rng.random(len(v)) * deg[v]).astype(np.int64)]
+    return np.stack([u, w], axis=1)
+
+
 def _add_closure_edges(
     base: np.ndarray, n: int, directed: bool, m_total: int,
     rng: np.random.Generator,
@@ -139,20 +155,12 @@ def _add_closure_edges(
     """Top up ``base`` to ``m_total`` edges with wedge-closing edges
     (u -> w where u -> v -> w exists), preserving power-law endpoints."""
     g = LocalGraph(base.copy(), n, directed)
-    indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    pool = np.where(deg > 0)[0]
     e = base
     guard = 0
     while e.shape[0] < m_total and guard < 30:
         guard += 1
         batch = (m_total - e.shape[0]) * 3 + 64
-        u = rng.choice(pool, size=batch)
-        v = indices[indptr[u] + (rng.random(batch) * deg[u]).astype(np.int64)]
-        ok = deg[v] > 0
-        u, v = u[ok], v[ok]
-        w = indices[indptr[v] + (rng.random(len(v)) * deg[v]).astype(np.int64)]
-        e = canonical_edges(np.vstack([e, np.stack([u, w], axis=1)]), n, directed)
+        e = canonical_edges(np.vstack([e, _wedge_ends(g, batch, rng)]), n, directed)
     return e
 
 
@@ -177,40 +185,26 @@ def evolving_graph(
     g_old, _ = dcsbm(
         n, m_old, n_comm, directed=directed, seed=seed, name=name or "evolving"
     )
+    # both orientations of each old edge and the canonical key of each new
+    # one, so a canonical candidate is fresh iff its own key is absent
     existing = set(g_old.edge_key_set())  # copy: the graph caches its key set
-    indptr, indices = g_old.csr()
-    deg = np.diff(indptr)
     new_edges: list[np.ndarray] = []
+
+    def add_fresh(cand: np.ndarray) -> int:
+        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
+        fresh = np.array([k not in existing for k in keys.tolist()], dtype=bool)
+        existing.update(keys[fresh].tolist())
+        new_edges.append(cand[fresh])
+        return int(fresh.sum())
+
     n_have = 0
     n_closure_target = int(m_new * closure_frac)
-    # triadic closure: u -> w where w is a neighbor of a neighbor of u
-    starts_pool = np.where(deg > 0)[0]
     guard = 0
     while n_have < n_closure_target and guard < 60:
         guard += 1
         batch = min(4 * (n_closure_target - n_have) + 64, 500_000)
-        u = rng.choice(starts_pool, size=batch)
-        v = indices[indptr[u] + (rng.random(batch) * deg[u]).astype(np.int64)]
-        ok = deg[v] > 0
-        u, v = u[ok], v[ok]
-        w = indices[indptr[v] + (rng.random(len(v)) * deg[v]).astype(np.int64)]
-        cand = np.stack([u, w], axis=1)
-        cand = canonical_edges(cand, n, directed)
-        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
-        if not directed:
-            rev = cand[:, 1] * np.int64(n) + cand[:, 0]
-            fresh = np.array(
-                [k not in existing and r not in existing for k, r in zip(keys, rev)]
-            )
-        else:
-            fresh = np.array([k not in existing for k in keys])
-        cand = cand[fresh] if len(cand) else cand
-        if len(cand):
-            new_edges.append(cand)
-            n_have += len(cand)
-            existing.update(
-                (cand[:, 0] * np.int64(n) + cand[:, 1]).tolist()
-            )
+        wedges = _wedge_ends(g_old, batch, rng)
+        n_have += add_fresh(canonical_edges(wedges, n, directed))
     # remainder: fresh model edges not in old/new
     while n_have < m_new and guard < 120:
         guard += 1
@@ -218,30 +212,6 @@ def evolving_graph(
             n, (m_new - n_have) * 2 + 32, n_comm, directed=directed,
             seed=seed + guard,
         )
-        cand = g_extra.edges
-        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
-        fresh = np.array([k not in existing for k in keys])
-        cand = cand[fresh]
-        if len(cand):
-            new_edges.append(cand)
-            n_have += len(cand)
-            existing.update(
-                (cand[:, 0] * np.int64(n) + cand[:, 1]).tolist()
-            )
+        n_have += add_fresh(g_extra.edges)
     out = np.vstack(new_edges)[:m_new] if new_edges else np.empty((0, 2), np.int64)
     return g_old, out
-
-
-def ring(n: int) -> LocalGraph:
-    e = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return LocalGraph.from_edges(e, n, directed=False, name=f"ring_{n}")
-
-
-def star(n: int) -> LocalGraph:
-    e = np.stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)], axis=1)
-    return LocalGraph.from_edges(e, n, directed=False, name=f"star_{n}")
-
-
-def directed_cycle(n: int) -> LocalGraph:
-    e = np.stack([np.arange(n), (np.arange(n) + 1) % n], axis=1)
-    return LocalGraph.from_edges(e, n, directed=True, name=f"dcycle_{n}")

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 
 from repro.graphs.edgelist import LocalGraph
 
@@ -18,10 +17,6 @@ def stats_row(g: LocalGraph, n_labels: int | None = None) -> dict:
         "avg_deg": round(g.m / max(g.n, 1), 2),
         "max_out_deg": int(g.d_out.max()) if g.m else 0,
     }
-
-
-def stats_table(rows: list[dict]) -> pd.DataFrame:
-    return pd.DataFrame(rows)
 
 
 def evolving_stats_row(

@@ -1,8 +1,8 @@
 """One-vs-rest logistic regression in numpy.
 
 Full-batch Adam on the L2-regularized cross-entropy; supports binary
-(single column) and one-vs-rest multiclass/multilabel (one sigmoid per
-class). Deterministic given the data. This is the classifier the paper's
+(single column) and one-vs-rest multiclass (one sigmoid per class).
+Deterministic given the data. This is the classifier the paper's
 evaluation protocol uses for node classification and for the
 "edge features" link-prediction scoring of single-vector methods.
 """
@@ -38,18 +38,14 @@ class LogisticRegression:
         self.W: np.ndarray | None = None  # (d+1, C), last row = bias
 
     def fit(self, X: np.ndarray, Y: np.ndarray) -> "LogisticRegression":
-        """X: (n, d); Y: (n,) binary/int labels or (n, C) multi-hot."""
+        """X: (n, d); Y: (n,) binary 0/1 or class labels."""
         X = np.asarray(X, dtype=np.float64)
         Y = np.asarray(Y)
-        if Y.ndim == 1:
-            classes = np.unique(Y)
-            if len(classes) == 2 and set(classes) <= {0, 1}:
-                Yh = Y.reshape(-1, 1).astype(np.float64)
-            else:
-                Yh = (Y[:, None] == classes[None, :]).astype(np.float64)
-                self.classes_ = classes
+        self.classes_ = np.unique(Y)
+        if len(self.classes_) == 2 and set(self.classes_) <= {0, 1}:
+            Yh = Y.reshape(-1, 1).astype(np.float64)
         else:
-            Yh = Y.astype(np.float64)
+            Yh = (Y[:, None] == self.classes_[None, :]).astype(np.float64)
         n, d = X.shape
         C = Yh.shape[1]
         Xb = np.hstack([X, np.ones((n, 1))])
@@ -84,15 +80,9 @@ class LogisticRegression:
         Xb = np.hstack([X, np.ones((X.shape[0], 1))])
         return Xb @ self.W
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.decision_function(X))
-
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Binary: 0/1 by threshold. Multiclass: argmax class label."""
         S = self.decision_function(X)
         if S.shape[1] == 1:
             return (S[:, 0] > 0).astype(np.int64)
-        idx = np.argmax(S, axis=1)
-        if hasattr(self, "classes_"):
-            return self.classes_[idx]
-        return idx
+        return self.classes_[np.argmax(S, axis=1)]

@@ -34,16 +34,3 @@ def node_classification_f1(
     pred = clf.predict(feats[te])
     return micro_macro_f1(labels[te], pred)
 
-
-def classification_sweep(
-    emb: Embedding,
-    labels: np.ndarray,
-    ratios: list[float],
-    *,
-    seed: int = 0,
-) -> dict[float, tuple[float, float]]:
-    """Micro/macro F1 for each train ratio (paper Fig. 6 protocol)."""
-    return {
-        r: node_classification_f1(emb, labels, train_ratio=r, seed=seed)
-        for r in ratios
-    }

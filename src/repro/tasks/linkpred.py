@@ -41,8 +41,7 @@ def edge_feature_scores(
     labels = np.concatenate([np.ones(n_pos), np.zeros(n_pos)])
 
     def feats(p: np.ndarray) -> np.ndarray:
-        right = emb.Y if emb.dual else emb.X
-        return np.hstack([emb.X[p[:, 0]], right[p[:, 1]]])
+        return np.hstack([emb.X[p[:, 0]], emb.right[p[:, 1]]])
 
     clf = LogisticRegression(epochs=200).fit(feats(pairs), labels)
     return clf.decision_function(feats(test_pairs))[:, 0]

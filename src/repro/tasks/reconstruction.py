@@ -14,10 +14,7 @@ import numpy as np
 from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
 from repro.tasks.metrics import precision_at_k
-
-
-def _right(emb: Embedding) -> np.ndarray:
-    return emb.Y if emb.dual else emb.X
+from repro.tasks.split import sample_distinct_pairs
 
 
 def topk_pairs_numpy(
@@ -26,7 +23,7 @@ def topk_pairs_numpy(
     """Top-k scored pairs over all candidate pairs: ordered (u != v) for
     directed graphs, u < v otherwise. Returns (k, 2) int array, ranked."""
     n = g.n
-    X, R = emb.X, _right(emb)
+    X, R = emb.X, emb.right
     best_s: list[np.ndarray] = []
     best_p: list[np.ndarray] = []
     for lo in range(0, n, block):
@@ -51,38 +48,6 @@ def topk_pairs_numpy(
     return p[order]
 
 
-def sample_candidate_pairs(
-    g: LocalGraph, count: int, seed: int = 0
-) -> np.ndarray:
-    """Uniform sample of candidate pairs (edges included), for the paper's
-    1%-of-all-pairs protocol on larger graphs."""
-    rng = np.random.default_rng(seed)
-    n = g.n
-    pairs: list[np.ndarray] = []
-    seen: set[int] = set()
-    have = 0
-    while have < count:
-        batch = (count - have) * 2 + 32
-        u = rng.integers(0, n, batch)
-        v = rng.integers(0, n, batch)
-        ok = u != v
-        u, v = u[ok], v[ok]
-        if not g.directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        key = u * np.int64(n) + v
-        keep = []
-        for i, kk in enumerate(key.tolist()):
-            if kk in seen:
-                continue
-            seen.add(kk)
-            keep.append(i)
-        if keep:
-            sel = np.array(keep)
-            pairs.append(np.stack([u[sel], v[sel]], axis=1))
-            have += len(keep)
-    return np.vstack(pairs)[:count]
-
-
 def reconstruction_precision(
     emb: Embedding,
     g: LocalGraph,
@@ -98,7 +63,9 @@ def reconstruction_precision(
     if sample is None:
         top = topk_pairs_numpy(emb, g, kmax)
     else:
-        cand = sample_candidate_pairs(g, sample, seed)
+        # the paper's 1%-of-all-pairs protocol: edges stay candidates
+        rng = np.random.default_rng(seed)
+        cand = sample_distinct_pairs(g, sample, rng, frozenset())
         scores = emb.score_pairs(cand)
         order = np.argsort(-scores, kind="stable")[:kmax]
         top = cand[order]

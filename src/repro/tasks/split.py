@@ -20,12 +20,12 @@ class LinkSplit:
     test_labels: np.ndarray    # (t,) 1 = removed edge, 0 = non-edge
 
 
-def sample_negative_pairs(
-    g: LocalGraph, count: int, rng: np.random.Generator
+def sample_distinct_pairs(
+    g: LocalGraph, count: int, rng: np.random.Generator, skip: set | frozenset
 ) -> np.ndarray:
-    """Uniformly sample ``count`` distinct node pairs that are not edges of
-    ``g`` (ordered pairs when directed, u<v otherwise; no self pairs)."""
-    keys = g.edge_key_set()
+    """Uniformly sample ``count`` distinct node pairs of ``g`` whose keys
+    (u*n+v) are not in ``skip`` (ordered pairs when directed, u<v otherwise;
+    no self pairs). Raises RuntimeError when 200 batches do not find them."""
     n = g.n
     out: list[np.ndarray] = []
     have = 0
@@ -43,7 +43,7 @@ def sample_negative_pairs(
         key = u * np.int64(n) + v
         keep = []
         for i, k in enumerate(key.tolist()):
-            if k in keys or k in seen:
+            if k in skip or k in seen:
                 continue
             seen.add(k)
             keep.append(i)
@@ -52,8 +52,16 @@ def sample_negative_pairs(
             out.append(np.stack([u[sel], v[sel]], axis=1))
             have += len(keep)
     if have < count:
-        raise RuntimeError("could not sample enough negative pairs")
+        raise RuntimeError(f"could not sample {count} distinct pairs")
     return np.vstack(out)[:count]
+
+
+def sample_negative_pairs(
+    g: LocalGraph, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Uniformly sample ``count`` distinct node pairs that are not edges of
+    ``g`` (ordered pairs when directed, u<v otherwise; no self pairs)."""
+    return sample_distinct_pairs(g, count, rng, g.edge_key_set())
 
 
 def link_prediction_split(

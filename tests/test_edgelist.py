@@ -20,15 +20,10 @@ from repro.graphs.edgelist import (
     canonical_edges,
     segment_sum,
 )
-from repro.graphs.generators import (
-    directed_cycle,
-    erdos_renyi,
-    example_graph,
-    ring,
-    star,
-)
+from repro.graphs.generators import erdos_renyi, example_graph
 from repro.linalg.bksvd import _make_krylov_chain
 from repro.oracle import assert_equivalent
+from tests.toy_graphs import directed_cycle, ring, star
 
 
 # ---------------------------------------------------------------- canonical

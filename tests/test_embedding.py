@@ -15,6 +15,7 @@ def test_score_pairs_dual(dual):
     pairs = np.array([[0, 1], [3, 7]])
     want = [dual.X[0] @ dual.Y[1], dual.X[3] @ dual.Y[7]]
     np.testing.assert_allclose(dual.score_pairs(pairs), want)
+    assert dual.right is dual.Y
 
 
 def test_score_pairs_single():
@@ -22,11 +23,7 @@ def test_score_pairs_single():
     emb = Embedding(X=rng.normal(size=(6, 3)))
     pairs = np.array([[2, 5]])
     assert emb.score_pairs(pairs)[0] == pytest.approx(emb.X[2] @ emb.X[5])
-    assert not emb.dual
-
-
-def test_score_matrix(dual):
-    np.testing.assert_allclose(dual.score_matrix(), dual.X @ dual.Y.T)
+    assert not emb.dual and emb.right is emb.X
 
 
 def test_features_normalized(dual):

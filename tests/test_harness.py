@@ -1,6 +1,8 @@
 """Harness smoke tests on tiny configurations (full runs live in
 benchmarks/; these verify row shapes, eligibility handling, and the
 Table 1 reproduction end to end)."""
+import json
+
 import numpy as np
 import pytest
 
@@ -49,8 +51,8 @@ def test_evolving_datasets_table_shape():
 
 def test_eligibility_and_protocol():
     g = load_dataset("tweibo_lite").graph  # n = 15000, directed
-    assert not H.eligible(get_method("gae"), g)
-    assert H.eligible(get_method("nrp"), g)
+    assert not get_method("gae").fits(g)
+    assert get_method("nrp").fits(g)
     assert H.protocol_for(get_method("nrp"), g) == "inner"
     assert H.protocol_for(get_method("deepwalk"), g) == "edge_features"
     gu = load_dataset("blogcatalog_lite").graph  # undirected
@@ -93,3 +95,26 @@ def test_scalability_table_tiny(monkeypatch):
 def test_evolving_table_tiny():
     df = H.evolving_table(["vk_lite"], ["approxppr"], k=8, seed=0)
     assert len(df) == 1 and 0 <= float(df.auc.iloc[0]) <= 1
+
+
+def test_run_rebuilds_datasets(monkeypatch, tmp_path):
+    # a run's manifest seconds include its dataset builds, whatever ran
+    # before it in the same process
+    from repro.experiments import datasets
+
+    real = datasets.evolving_graph
+    builds = []
+
+    def spy(*args, **kwargs):
+        builds.append(kwargs["name"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(datasets, "evolving_graph", spy)
+    monkeypatch.setattr(H, "RESULTS_DIR", tmp_path)
+    H.run("table4_evolving_datasets")
+    H.run("table4_evolving_datasets")
+    assert builds == ["vk_lite", "digg_lite"] * 2
+    assert (tmp_path / "table4_evolving_datasets.csv").exists()
+    assert "table4_evolving_datasets" in json.loads(
+        (tmp_path / "MANIFEST.json").read_text()
+    )

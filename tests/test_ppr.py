@@ -5,13 +5,9 @@ import pytest
 
 from repro.core.approxppr import make_ppr_cols
 from repro.graphs.edgelist import LocalGraph, SparkGraph
-from repro.graphs.generators import (
-    directed_cycle,
-    erdos_renyi,
-    example_graph,
-    ring,
-)
+from repro.graphs.generators import erdos_renyi, example_graph
 from repro.ppr.exact import ppr_dense, ppr_truncated
+from tests.toy_graphs import directed_cycle, ring
 
 #: Paper Table 1, alpha = 0.15 (rows v2, v4, v9 — v7 is a paper erratum,
 #: see DESIGN.md §4; the corrected row is asserted separately).

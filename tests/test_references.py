@@ -1,0 +1,84 @@
+"""No production code that only tests call: every function, method and
+class defined in ``src/repro`` is referenced from ``src/``, ``benchmarks/``,
+``nrpbench/`` or ``jobs/``, by a name, an attribute or a string (the
+benchmark tracer patches methods by their names). An import alone, such as
+a package ``__init__`` re-export, is not a reference."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SCANNED = ("src", "benchmarks", "nrpbench", "jobs")
+
+#: Defined in src/repro and referenced only from tests, each for a reason.
+#: Every entry must still be unreferenced, so the list shrinks with the code.
+ALLOWED = {
+    # reference oracles that tests check the fast code against
+    "naive_backward_terms",  # Eq. (7) per-node terms, O(n^2 k'^2)
+    "naive_forward_terms",  # Eq. (23) per-node terms, O(n^2 k'^2)
+    "ppr_truncated",  # Eq. (3) truncated PPR matrix
+    # the DataFrame layer, deleted once the benchmark tracer stops
+    # patching LongMatrix (ROADMAP item 2)
+    "LongMatrix.axpy",
+    "LongMatrix.scale",
+    "LongMatrix.scale_rows",
+    "LongMatrix.mm_small",
+    "SparkGraph.transition_arcs",
+    "assert_equivalent",
+}
+
+
+def _definitions(tree: ast.Module) -> list[str]:
+    """Qualified names of the module's functions, classes and methods;
+    dunder methods are left out, since Python calls them."""
+    out = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                if not (child.name.startswith("__")
+                        and child.name.endswith("__")):
+                    out.append(prefix + child.name)
+                inner = (prefix + child.name + "."
+                         if isinstance(child, ast.ClassDef) else prefix)
+                visit(child, inner)
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return out
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name the module reads or spells as an identifier string."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                refs.add(node.value)
+    return refs
+
+
+def test_every_definition_has_a_non_test_reference():
+    refs: set[str] = set()
+    defined = []
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            refs |= _references(tree)
+            if top == "src":
+                rel = path.relative_to(ROOT)
+                defined += [(str(rel), q) for q in _definitions(tree)]
+    assert defined, "no definitions found under src/"
+    unreferenced = {
+        (rel, q) for rel, q in defined if q.rsplit(".", 1)[-1] not in refs
+    }
+    unused = sorted(f"{rel}: {q}" for rel, q in unreferenced
+                    if q not in ALLOWED)
+    assert not unused, "only tests reference:\n" + "\n".join(unused)
+    stale = ALLOWED - {q for _, q in unreferenced}
+    assert not stale, f"allowed but referenced or gone: {sorted(stale)}"

@@ -7,14 +7,11 @@ import pytest
 from repro.baselines.registry import get_method
 from repro.embedding import Embedding
 from repro.graphs.generators import dcsbm
-from repro.tasks.classification import classification_sweep, node_classification_f1
+from repro.tasks.classification import node_classification_f1
 from repro.tasks.linkpred import edge_feature_scores, link_prediction_auc
-from repro.tasks.reconstruction import (
-    reconstruction_precision,
-    sample_candidate_pairs,
-    topk_pairs_numpy,
-)
-from repro.tasks.split import link_prediction_split
+from repro.tasks.reconstruction import reconstruction_precision, topk_pairs_numpy
+from repro.tasks.split import link_prediction_split, sample_distinct_pairs
+from tests.toy_graphs import ring
 
 
 @pytest.fixture(scope="module")
@@ -73,7 +70,7 @@ def test_reconstruction_precision_high_for_nrp(bundle, nrp_emb):
 def test_topk_numpy_matches_exhaustive(bundle, nrp_emb):
     g, _ = bundle
     top = topk_pairs_numpy(nrp_emb, g, 50)
-    S = nrp_emb.score_matrix()
+    S = nrp_emb.X @ nrp_emb.right.T
     np.fill_diagonal(S, -np.inf)
     S[np.tril_indices(g.n)] = -np.inf  # undirected: u < v
     flat = np.argsort(-S.ravel(), kind="stable")[:50]
@@ -90,10 +87,13 @@ def test_reconstruction_sampled_protocol(bundle, nrp_emb):
 
 def test_sample_candidate_pairs_distinct(bundle):
     g, _ = bundle
-    cand = sample_candidate_pairs(g, 1000, seed=1)
+    cand = sample_distinct_pairs(g, 1000, np.random.default_rng(1), frozenset())
     keys = cand[:, 0] * g.n + cand[:, 1]
     assert len(set(keys.tolist())) == 1000
     assert np.all(cand[:, 0] < cand[:, 1])
+    # 3 nodes have only 3 distinct undirected pairs: a 4th cannot be drawn
+    with pytest.raises(RuntimeError):
+        sample_distinct_pairs(ring(3), 4, np.random.default_rng(1), frozenset())
 
 
 def test_directed_topk_allows_both_orientations():
@@ -108,13 +108,6 @@ def test_classification_beats_chance(bundle, nrp_emb):
     g, labels = bundle
     micro, macro = node_classification_f1(nrp_emb, labels, train_ratio=0.5, seed=0)
     assert micro > 0.5 and macro > 0.4  # 5 classes -> chance is 0.2
-
-
-def test_classification_sweep_shape(bundle, nrp_emb):
-    g, labels = bundle
-    out = classification_sweep(nrp_emb, labels, [0.3, 0.7], seed=0)
-    assert set(out) == {0.3, 0.7}
-    assert all(0 <= m <= 1 for pair in out.values() for m in pair)
 
 
 def test_classification_ratio_too_high(bundle, nrp_emb):
