@@ -6,7 +6,7 @@ Two views of the same graph:
   ("oracle") representation used by the local backends and by inherently
   driver-side steps (edge splits, walk sampling, coordinate descent).
 * :class:`SparkGraph` — a Spark view of the same graph. It broadcasts the
-  CSR adjacency, its transpose and the row divisor of P once; each
+  jagged-diagonal plans of A and A^T and the row divisor of P once; each
   :meth:`SparkGraph.columns` call is one Spark job that runs a whole
   column-separable function (the BKSVD Krylov chain, the PPR loop) on
   column slices of X and returns the same bits as the ``LocalGraph`` run.
@@ -14,11 +14,14 @@ Two views of the same graph:
   off the NRP path: it serves only the tests of :mod:`repro.linalg.longmat`.
 
 Both graphs are *product providers*: ``columns(fn, X)`` runs
-``fn(ops, X)``, where ``ops`` has ``spmv``/``spmv_t``/``pmv``. Every column
-of the result depends only on the same column of X, so ``fn`` may run on
-any split of X's columns. A function shipped to Spark must reference numpy
-only (workers cannot import ``repro``), so each is built inside a factory
-function, which makes cloudpickle ship it by value.
+``fn(ops, X)``, where ``ops`` has ``spmv``/``spmv_t``/``pmv``. Both run
+their products through one kernel, :func:`jds_product`, over the
+jagged-diagonal plans :func:`jds_plan` builds once per direction from the
+CSR arrays. Every column of the result depends only on the same column of
+X, so ``fn`` may run on any split of X's columns. A function shipped to
+Spark must reference numpy only (workers cannot import ``repro``), so each
+is built inside a factory function, which makes cloudpickle ship it by
+value.
 
 Conventions
 -----------
@@ -58,73 +61,117 @@ def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
     return e[np.sort(idx)]
 
 
-def _make_segment_sum():
+def _make_jds_product():
     # Built inside a function so that cloudpickle ships it to Spark workers
     # by value: a module-level function is pickled by reference, and the
     # workers cannot import ``repro``. It may therefore reference numpy only.
 
-    # values gathered per row block (~1 MB of float64): a block's gather and
-    # its reduceat stay in cache, where a whole-array reduceat does not
-    block_values = 1 << 17
+    def jds_product(X: np.ndarray, plan: tuple) -> np.ndarray:
+        """``A @ X`` for the A of a :func:`jds_plan`, one row block at a
+        time.
 
-    def segment_sum(
-        X: np.ndarray, indptr: np.ndarray, indices: np.ndarray
-    ) -> np.ndarray:
-        """Per-row sums of X[indices] over CSR segments.
-
-        The non-empty rows are cut into blocks of about ``block_values``
-        gathered values, each ending on a row boundary (so a row longer
-        than that ends the block it is in). One ``np.add.reduceat`` per block
-        (over the block's gather, rows by columns) sums each row's segment
-        in the same order as one reduceat over the whole gather, so the
-        bits depend neither on the blocking nor on X's width; empty rows
-        stay zero. The gather is ``X.take(..., axis=0)``: it gives the same
-        values as the fancy index ``X[...]`` but copies whole rows, about
-        twice as fast.
+        A block's sums (its rows in the plan's order) start at zero.
+        Diagonal j adds X at the j-th arc of each of its rows, so every row
+        sums its first arcs in arc order. A row longer than the last
+        diagonal then adds the ``np.add.reduceat`` sum of its remaining
+        arcs: per column, the first of them plus numpy's pairwise sum of
+        the rest. Every step works on each column of X on its own, so a
+        column of the result does not depend on the others. The gathers
+        are ``X.take(..., axis=0)``: the values of the fancy index
+        ``X[...]``, about twice as fast.
         """
-        out = np.zeros((indptr.size - 1, X.shape[1]))
-        rows = np.flatnonzero(np.diff(indptr))
-        if not rows.size:
-            return out
-        # segment starts of the non-empty rows, then the end of the last
-        bounds = np.append(indptr[rows], indices.size)
-        span = max(1, block_values // max(X.shape[1], 1))
-        # each block ends at the first row boundary at or past a multiple
-        # of span, so it gathers at most span values plus its last row
-        cuts = np.unique(np.append(
-            np.searchsorted(bounds, np.arange(0, indices.size, span)),
-            rows.size,
-        ))
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            a, b = bounds[lo], bounds[hi]
-            out[rows[lo:hi]] = np.add.reduceat(
-                X.take(indices[a:b], axis=0), bounds[lo:hi] - a, axis=0
-            )
+        n, blocks = plan
+        out = np.zeros((n, X.shape[1]))
+        for rows, idx, bounds, tail_idx, tail_starts in blocks:
+            acc = np.zeros((rows.size, X.shape[1]))
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                acc[: b - a] += X.take(idx[a:b], axis=0)
+            if tail_starts.size:
+                acc[: tail_starts.size] += np.add.reduceat(
+                    X.take(tail_idx, axis=0), tail_starts, axis=0
+                )
+            out[rows] = acc
         return out
 
-    return segment_sum
+    return jds_product
 
 
-#: The one CSR product kernel, shared by ``LocalGraph`` and the Spark tasks
-#: of ``SparkGraph``.
-segment_sum = _make_segment_sum()
+#: The one sparse product kernel, shared by ``LocalGraph`` and the Spark
+#: tasks of ``SparkGraph``.
+jds_product = _make_jds_product()
+
+#: rows per plan block: a block's sums at width 16 are 512 KB, which stay
+#: in L2 while every diagonal adds into them
+JDS_BLOCK_ROWS = 4096
+#: a diagonal with fewer rows costs more in numpy calls than it saves; the
+#: arcs it would hold are summed by the block's one reduceat
+JDS_MIN_DIAG_ROWS = 64
+
+
+def jds_plan(indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """Jagged-diagonal plan (Saad 1989) of the CSR matrix (indptr, indices),
+    for :func:`jds_product`.
+
+    The rows are cut into blocks of ``JDS_BLOCK_ROWS``. A block keeps its
+    non-empty rows sorted by degree, descending and stable. Diagonal j
+    holds the j-th arc of every row of degree > j, so its rows are a prefix
+    of the block. Only diagonals of at least ``JDS_MIN_DIAG_ROWS`` rows are
+    kept; the arcs past them, of the block's longest rows, are its tail.
+    Returns ``(n, blocks)``, each block ``(rows, idx, bounds, tail_idx,
+    tail_starts)``: ``idx[bounds[j]:bounds[j + 1]]`` is diagonal j, and
+    ``tail_starts`` starts the tail segment of each of the block's first
+    ``tail_starts.size`` rows in ``tail_idx``. Row and arc indices are
+    int32.
+    """
+    n = indptr.size - 1
+    if n >= 2**31:
+        raise ValueError(f"n = {n} does not fit the plan's int32 indices")
+    deg = np.diff(indptr)
+    blocks = []
+    for lo in range(0, n, JDS_BLOCK_ROWS):
+        d = deg[lo:lo + JDS_BLOCK_ROWS]
+        order = np.argsort(-d, kind="stable")[: np.count_nonzero(d)]
+        if not order.size:
+            continue
+        d = d[order]
+        starts = indptr[lo + order]
+        # diagonal j has count_nonzero(d > j) rows, so the diagonals of at
+        # least JDS_MIN_DIAG_ROWS rows are those below that row's degree
+        J = int(d[JDS_MIN_DIAG_ROWS - 1]) if d.size >= JDS_MIN_DIAG_ROWS else 0
+        counts = np.searchsorted(-d, -np.arange(J))
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        # the arc of diagonal j in its i-th row sits at starts[i] + j
+        i = np.arange(bounds[-1]) - np.repeat(bounds[:-1], counts)
+        diags = starts[i] + np.repeat(np.arange(J), counts)
+        lengths = d[d > J] - J
+        tail_starts = np.cumsum(lengths) - lengths
+        tail = np.repeat(starts[: lengths.size] + J - tail_starts, lengths)
+        blocks.append((
+            (lo + order).astype(np.int32),
+            indices[diags].astype(np.int32),
+            bounds.tolist(),
+            indices[tail + np.arange(tail.size)].astype(np.int32),
+            tail_starts,
+        ))
+    return n, blocks
 
 
 def _make_csr_products():
-    # Built inside a function for the reason given in _make_segment_sum:
+    # Built inside a function for the reason given in _make_jds_product:
     # every Spark task builds one from the graph broadcast.
     class CSRProducts:
-        """The unweighted ``LocalGraph`` products over fixed CSR arrays;
-        the ``ops`` a column-separable function gets in a Spark task."""
+        """The unweighted ``LocalGraph`` products over fixed jagged-diagonal
+        plans of A and A^T; the ``ops`` a column-separable function gets in
+        a Spark task."""
 
-        def __init__(self, csr, csr_t, divisor):
-            self.csr, self.csr_t, self.divisor = csr, csr_t, divisor
+        def __init__(self, plan, plan_t, divisor):
+            self.plan, self.plan_t, self.divisor = plan, plan_t, divisor
 
         def spmv(self, X: np.ndarray) -> np.ndarray:
-            return segment_sum(X, *self.csr)
+            return jds_product(X, self.plan)
 
         def spmv_t(self, X: np.ndarray) -> np.ndarray:
-            return segment_sum(X, *self.csr_t)
+            return jds_product(X, self.plan_t)
 
         def pmv(self, X: np.ndarray) -> np.ndarray:
             return self.spmv(X) / self.divisor
@@ -234,12 +281,12 @@ class LocalGraph:
         """``A @ X`` without materializing A:
         ``(A X)[u] = sum over arcs (u, v) of X[v]``."""
         X = np.atleast_2d(X.T).T  # ensure 2-D (n, k)
-        return segment_sum(X, *self.csr())
+        return jds_product(X, self.jds())
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:
         """``A.T @ X``."""
         X = np.atleast_2d(X.T).T
-        return segment_sum(X, *self.csr_t())
+        return jds_product(X, self.jds_t())
 
     def pmv(self, X: np.ndarray) -> np.ndarray:
         """``P @ X`` with P the transition matrix (dangling rows -> 0):
@@ -264,6 +311,22 @@ class LocalGraph:
             self._cache["csr_t"] = _csr(self.arcs[:, 1], self.arcs[:, 0], self.n)
         return self._cache["csr_t"]
 
+    def jds(self) -> tuple:
+        """Jagged-diagonal plan of A (see :func:`jds_plan`), built from
+        :meth:`csr` on first use; the products run on it."""
+        if "jds" not in self._cache:
+            self._cache["jds"] = jds_plan(*self.csr())
+        return self._cache["jds"]
+
+    def jds_t(self) -> tuple:
+        """Jagged-diagonal plan of A^T: the plan of A when the graph is
+        undirected (A = A^T), else built from :meth:`csr_t`."""
+        if not self.directed:
+            return self.jds()
+        if "jds_t" not in self._cache:
+            self._cache["jds_t"] = jds_plan(*self.csr_t())
+        return self._cache["jds_t"]
+
     def edge_key_set(self) -> set:
         """Set of arc keys (u*n+v) for O(1) membership tests."""
         if "keys" not in self._cache:
@@ -278,8 +341,9 @@ class SparkGraph:
     """Spark view of a :class:`LocalGraph`: a product provider plus an arc
     DataFrame.
 
-    The CSR adjacency, its transpose and the row divisor of P are broadcast
-    once, so each executor holds one copy of CSR and CSR^T. A
+    The jagged-diagonal plans of A and A^T (one plan when the graph is
+    undirected) and the row divisor of P are broadcast once, so each
+    executor holds one copy of them. A
     :meth:`columns` call is one Spark job: it ships column slices of X, each
     task runs the whole function on its slice over the broadcast arrays,
     and the driver joins the slices' outputs. Every result has the same
@@ -298,7 +362,7 @@ class SparkGraph:
         self.n = local.n
         self.directed = local.directed
         self._graph = spark.sparkContext.broadcast(
-            (local.csr(), local.csr_t(), _row_divisor(local.d_out))
+            (local.jds(), local.jds_t(), _row_divisor(local.d_out))
         )
 
     def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:

@@ -14,11 +14,14 @@ from pyspark.core.broadcast import Broadcast
 
 from repro.core.approxppr import approxppr, make_ppr_cols, make_ppr_loop
 from repro.graphs.edgelist import (
+    JDS_BLOCK_ROWS,
+    JDS_MIN_DIAG_ROWS,
     CSRProducts,
     LocalGraph,
     SparkGraph,
     canonical_edges,
-    segment_sum,
+    jds_plan,
+    jds_product,
 )
 from repro.graphs.generators import erdos_renyi, example_graph
 from repro.linalg.bksvd import _make_krylov_chain
@@ -114,27 +117,52 @@ def test_spmv_matches_dense(seed):
     np.testing.assert_allclose(g.pmv(X), g.transition() @ X, atol=1e-12)
 
 
-def _one_reduceat(X, indptr, indices):
-    # the kernel as one reduceat over the whole gather
-    out = np.zeros((indptr.size - 1, X.shape[1]))
-    rows = np.diff(indptr) > 0
-    if rows.any():
-        out[rows] = np.add.reduceat(X[indices], indptr[:-1][rows], axis=0)
+def _jds_order_sum(X, indptr, indices):
+    # the kernel's documented order, row by row: in a block of
+    # JDS_BLOCK_ROWS rows whose non-empty rows have degrees d, the kept
+    # diagonals are J = the JDS_MIN_DIAG_ROWS-th largest d (0 if fewer
+    # rows). A row sums its first min(deg, J) arcs in arc order onto zero,
+    # then adds its tail sum: the next arc plus numpy's pairwise sum of the
+    # rest of the column, the order of np.add.reduceat
+    n = indptr.size - 1
+    deg = np.diff(indptr)
+    out = np.zeros((n, X.shape[1]))
+    for lo in range(0, n, JDS_BLOCK_ROWS):
+        d = np.sort(deg[lo:lo + JDS_BLOCK_ROWS])[::-1]
+        J = d[JDS_MIN_DIAG_ROWS - 1] if d.size >= JDS_MIN_DIAG_ROWS else 0
+        for r in range(lo, min(lo + JDS_BLOCK_ROWS, n)):
+            arcs = indices[indptr[r]:indptr[r + 1]]
+            acc = np.zeros(X.shape[1])
+            for v in arcs[:J]:
+                acc = acc + X[v]
+            if arcs.size > J:
+                rest = [np.add.reduce(np.ascontiguousarray(c))
+                        for c in X[arcs[J + 1:]].T]
+                acc = acc + (X[arcs[J]] + rest)
+            out[r] = acc
     return out
 
 
 def _blocky_csr():
-    # rows of 8 arcs, so every multiple of a block's 2**17 // width arcs is
-    # a row boundary, and a run of empty rows sits at each of them; a
-    # 3000-arc hub row (longer than a block at width 128), and empty rows
-    # at both ends; 2**15 + 200 non-empty rows make 267K arcs, three blocks
-    # at width 1
+    # 2**15 + 200 non-empty rows of 1 to 11 arcs, so a block's diagonals
+    # shrink one by one. In the first block, one row of 40 arcs and 63 of
+    # 20 are exactly JDS_MIN_DIAG_ROWS rows above 11 arcs: 20 diagonals
+    # are kept, and the 40-arc row has a tail. Past it, every 97th row has
+    # 30 arcs, fewer than JDS_MIN_DIAG_ROWS of them per block, so they form
+    # each block's tail. A 3000-arc hub row; runs of empty rows, one of
+    # them a whole block (rows 8192..12287), and empty rows at both ends.
     rng = np.random.default_rng(7)
-    lengths, arcs = [0, 0], 0
+    lengths = [0, 0]
     for i in range(2**15 + 200):
-        lengths.append(3000 if i == 5000 else 8)
-        arcs += lengths[-1]
-        if arcs % 1024 == 0:
+        if len(lengths) == 2 * JDS_BLOCK_ROWS:
+            lengths += [0] * JDS_BLOCK_ROWS
+        lengths.append(
+            40 if i == 0 else 20 if i < JDS_MIN_DIAG_ROWS
+            else 3000 if i == 5000
+            else 30 if i % 97 == 0 and i >= JDS_BLOCK_ROWS
+            else rng.integers(1, 12)
+        )
+        if rng.random() < 0.002:
             lengths += [0] * int(rng.integers(1, 6))
     lengths += [0] * 3
     indptr = np.concatenate([[0], np.cumsum(lengths)])
@@ -142,12 +170,32 @@ def _blocky_csr():
     return indptr, indices
 
 
+def _blocky_plan():
+    indptr, indices = _blocky_csr()
+    return indptr.size - 1, jds_plan(indptr, indices)
+
+
+def test_blocky_plan_shape():
+    # the input reaches every branch of the kernel: blocks with diagonals
+    # and a tail, the hub's long tail, and a block without non-empty rows
+    indptr, indices = _blocky_csr()
+    n, blocks = jds_plan(indptr, indices)
+    assert n == indptr.size - 1 and len(blocks) == -(-n // JDS_BLOCK_ROWS) - 1
+    assert all(len(b[2]) > 1 and b[4].size for b in blocks)
+    assert len(blocks[0][2]) == 20 + 1 and blocks[0][4].size == 1
+    assert max(b[3].size for b in blocks) > 2900
+    # every arc is in exactly one diagonal or tail
+    assert sum(b[1].size + b[3].size for b in blocks) == indices.size
+    assert all(b[1].dtype == b[0].dtype == np.int32 for b in blocks)
+
+
 @pytest.mark.parametrize("width", [1, 16, 128])
-def test_segment_sum_matches_one_reduceat(width):
+def test_segment_sum_matches_jds_order(width):
     indptr, indices = _blocky_csr()
     X = np.random.default_rng(width).standard_normal((indptr.size - 1, width))
     assert np.array_equal(
-        segment_sum(X, indptr, indices), _one_reduceat(X, indptr, indices)
+        jds_product(X, jds_plan(indptr, indices)),
+        _jds_order_sum(X, indptr, indices),
     )
 
 
@@ -155,28 +203,29 @@ def test_segment_sum_matches_one_reduceat(width):
 def test_segment_sum_without_arcs(n):
     indptr, indices = np.zeros(n + 1, np.int64), np.zeros(0, np.int64)
     X = np.ones((n, 3))
-    assert np.array_equal(segment_sum(X, indptr, indices), np.zeros((n, 3)))
+    got = jds_product(X, jds_plan(indptr, indices))
+    assert np.array_equal(got, np.zeros((n, 3)))
 
 
 def test_segment_sum_column_slices():
-    # slices of width 3 and 13 use other block sizes than width 16; a Spark
-    # job stacks such slices and must equal the in-process product
-    indptr, indices = _blocky_csr()
-    X = np.random.default_rng(0).standard_normal((indptr.size - 1, 16))
-    stacked = np.hstack([segment_sum(X[:, :3], indptr, indices),
-                         segment_sum(X[:, 3:], indptr, indices)])
-    assert np.array_equal(stacked, segment_sum(X, indptr, indices))
+    # a Spark job stacks the products of column slices (here of width 3 and
+    # 13) and must equal the in-process product
+    n, plan = _blocky_plan()
+    X = np.random.default_rng(0).standard_normal((n, 16))
+    stacked = np.hstack([jds_product(X[:, :3], plan),
+                         jds_product(X[:, 3:], plan)])
+    assert np.array_equal(stacked, jds_product(X, plan))
 
 
 def test_segment_sum_peak_memory():
     # numpy reports its buffers to tracemalloc; one reduceat over the whole
     # gather peaked at ~57 MB here (output 2.4 MB)
     g = erdos_renyi(20_000, 200_000, seed=0)
-    indptr, indices = g.csr()
+    plan = g.jds()
     X = np.random.default_rng(0).standard_normal((g.n, 16))
     tracemalloc.start()
     try:
-        out = segment_sum(X, indptr, indices)
+        out = jds_product(X, plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

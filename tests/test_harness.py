@@ -89,7 +89,9 @@ def test_scalability_table_tiny(monkeypatch):
         k=8, l1=5, l2=2, seed=0,
     )
     assert len(df) == 2 and (df.seconds > 0).all()
-    assert lams == [1.0, 1.0]
+    assert (df.repeats == H.SCALABILITY_REPEATS).all()
+    # one discarded warm-up, then the repeats of each row
+    assert lams == [1.0] * (1 + 2 * H.SCALABILITY_REPEATS)
 
 
 def test_evolving_table_tiny():

@@ -6,7 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.nrp import nrp
-from repro.graphs.edgelist import LocalGraph, canonical_edges
+from repro.graphs.edgelist import (
+    CSRProducts,
+    LocalGraph,
+    SparkGraph,
+    canonical_edges,
+)
 from repro.ppr.exact import ppr_dense
 from repro.tasks.metrics import auc_score, micro_macro_f1, precision_at_k
 
@@ -66,6 +71,77 @@ def test_nrp_output_contract(n, edges, directed, k2, seed):
     )
     for f in ("X", "Y", "wf", "wb"):
         assert np.array_equal(getattr(res, f), getattr(again, f))
+
+
+@st.composite
+def hub_graphs(draw):
+    """100 to 160 nodes, directed or not, in one plan block with diagonals
+    and a tail: node 0 links to 40 or more nodes, more arcs than the
+    block's diagonals hold (the JDS_MIN_DIAG_ROWS-th longest row has about
+    4 to 12). The last nodes touch no arc (isolated); on directed graphs
+    the ones before them only receive arcs (dangling)."""
+    n = draw(st.integers(100, 160))
+    directed = draw(st.booleans())
+    live = n - draw(st.integers(0, 5))
+    sources = live - (draw(st.integers(0, 5)) if directed else 0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    m = draw(st.integers(4 * n, 6 * n))
+    hub = rng.choice(np.arange(1, live), draw(st.integers(40, live - 1)),
+                     replace=False)
+    e = np.vstack([
+        np.column_stack([rng.integers(0, sources, m), rng.integers(0, live, m)]),
+        np.column_stack([np.zeros_like(hub), hub]),
+    ])
+    g = LocalGraph.from_edges(e, n, directed)
+    # the case must reach both parts of the kernel
+    (_, _, bounds, _, tail_starts), = g.jds()[1]
+    assert len(bounds) > 1 and tail_starts.size
+    return g
+
+
+def _assert_product(got, M, X, d):
+    # float64, set from the dtype: two sums of at most d terms (and one
+    # division for P) each differ from the exact |M| |X|-weighted sum by at
+    # most (d + 1) u |M| |X|, u = eps / 2
+    bound = 2 * (d + 1) * np.finfo(np.float64).eps * (np.abs(M) @ np.abs(X))
+    assert (np.abs(got - M @ X) <= bound).all()
+
+
+@given(hub_graphs(), st.integers(1, 20), st.data())
+@settings(max_examples=40, deadline=None)
+def test_products_match_dense(g, width, data):
+    """The products equal dense A X, A^T X and P X within float64 rounding,
+    and the product of X is its column slices' products, bit for bit."""
+    X = np.random.default_rng(width).standard_normal((g.n, width))
+    A = g.adjacency()
+    d = int(max(g.d_out.max(), g.d_in.max()))
+    _assert_product(g.spmv(X), A, X, d)
+    _assert_product(g.spmv_t(X), A.T, X, d)
+    _assert_product(g.pmv(X), g.transition(), X, d)
+    cut = data.draw(st.integers(0, width))
+    for name in ("spmv", "spmv_t", "pmv"):
+        product = getattr(g, name)
+        stacked = np.hstack([product(X[:, :cut]), product(X[:, cut:])])
+        assert np.array_equal(stacked, product(X)), name
+
+
+@given(hub_graphs(), st.integers(0, 2**16))
+@settings(max_examples=6, deadline=None)
+@pytest.mark.filterwarnings("ignore:BKSVD kept rank:RuntimeWarning")
+def test_spark_equals_local(spark, g, seed):
+    """Spark products and a Spark NRP run return the local bits."""
+    X = np.random.default_rng(seed).standard_normal((g.n, 5))
+    sg = SparkGraph(spark, g)
+    try:
+        for name in ("spmv", "spmv_t", "pmv"):
+            got = sg.columns(getattr(CSRProducts, name), X)
+            assert np.array_equal(got, getattr(g, name)(X)), name
+    finally:
+        sg.unpersist()
+    local = nrp(g, 8, lam=1.0, seed=seed, backend="local")
+    dist = nrp(g, 8, lam=1.0, seed=seed, backend="spark", spark=spark)
+    for f in ("X", "Y", "wf", "wb"):
+        assert np.array_equal(getattr(dist, f), getattr(local, f)), f
 
 
 @given(edge_lists)

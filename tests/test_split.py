@@ -63,3 +63,18 @@ def test_negative_sampler_undirected_orientation():
     g = erdos_renyi(60, 150, seed=11)
     neg = sample_negative_pairs(g, 100, np.random.default_rng(1))
     assert np.all(neg[:, 0] < neg[:, 1])
+
+
+def test_split_removing_no_edges():
+    # round(0.3 * 1) = 0 edges are removed: an empty test set, not a crash
+    g = erdos_renyi(10, 1, seed=0)
+    sp = link_prediction_split(g, frac=0.3)
+    assert sp.train.m == 1
+    assert sp.test_pairs.shape == (0, 2) and sp.test_labels.shape == (0,)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_sample_no_pairs(directed):
+    g = erdos_renyi(10, 20, directed=directed, seed=0)
+    neg = sample_negative_pairs(g, 0, np.random.default_rng(0))
+    assert neg.shape == (0, 2) and neg.dtype == np.int64
