@@ -390,7 +390,7 @@ def scalability_table(
             nrp(g, k, **kw)
         secs = []
         for _ in range(SCALABILITY_REPEATS):
-            fresh = LocalGraph(g.edges, n, False)
+            fresh = LocalGraph(g.edges, g.n, g.directed)
             t0 = time.perf_counter()
             nrp(fresh, k, **kw)
             secs.append(time.perf_counter() - t0)

@@ -300,7 +300,7 @@ class LocalGraph:
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) adjacency in CSR form (arcs by src), read by
-        the products and the walk samplers."""
+        :meth:`jds` and the walk samplers."""
         if "csr" not in self._cache:
             self._cache["csr"] = _csr(self.arcs[:, 0], self.arcs[:, 1], self.n)
         return self._cache["csr"]

@@ -27,6 +27,7 @@ def sample_distinct_pairs(
     (u*n+v) are not in ``skip`` (ordered pairs when directed, u<v otherwise;
     no self pairs). Raises RuntimeError when 200 batches do not find them."""
     n = g.n
+    # starts with an empty block, so count = 0 returns a (0, 2) array
     out: list[np.ndarray] = [np.zeros((0, 2), np.int64)]
     have = 0
     seen: set[int] = set()
