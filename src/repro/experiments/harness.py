@@ -271,6 +271,27 @@ def efficiency_table(
     return _print(pd.DataFrame(rows), "Fig 7: embedding construction time (s)")
 
 
+# ------------------------------------------------------------- timing
+#: timed embeds per row of a timed table (Figs. 10, 11); the row reports
+#: their median
+TIMING_REPEATS = 3
+
+
+def _median_seconds(embed: Callable, *, warm_up: bool) -> tuple[float, object]:
+    """Median seconds of ``TIMING_REPEATS`` calls of ``embed``, and the
+    output of the last call. With ``warm_up``, one discarded call comes
+    first, so a table's first row is not timed cold (imports, the session's
+    first Spark jobs)."""
+    if warm_up:
+        embed()
+    secs = []
+    for _ in range(TIMING_REPEATS):
+        t0 = time.perf_counter()
+        out = embed()
+        secs.append(time.perf_counter() - t0)
+    return float(np.median(secs)), out
+
+
 # ------------------------------------------------------------- Fig 8 / 11
 def param_sweep_table(
     dataset: str,
@@ -286,29 +307,33 @@ def param_sweep_table(
 ) -> pd.DataFrame:
     """Fig. 8 (AUC) / Fig. 11 (runtime) parameter analysis for NRP: vary
     one of alpha, eps, l1, l2 with the others at paper defaults (lam=1 is
-    the lite-scale analogue of the paper's lam=10 — see registry)."""
+    the lite-scale analogue of the paper's lam=10 — see registry). With
+    ``measure_time``, a point's seconds are timed as :func:`_median_seconds`
+    times them, with the one warm-up before the first point."""
     b = load_dataset(dataset)
     split = link_prediction_split(b.graph, frac=0.3, seed=seed)
     defaults = dict(alpha=0.15, eps=0.2, l1=20, l2=10, lam=lam)
     grids = {"alpha": alphas, "eps": epss, "l1": l1s, "l2": l2s}
-    if measure_time:
-        # discarded warm-up, so the first grid point is not timed cold
-        nrp(split.train, k, seed=seed, **defaults)
+    points = [(pname, val) for pname, grid in grids.items() for val in grid]
     rows = []
-    for pname, grid in grids.items():
-        for val in grid:
-            kw = dict(defaults)
-            kw[pname] = val
-            t0 = time.perf_counter()
-            res = nrp(split.train, k, seed=seed, **kw)
-            secs = time.perf_counter() - t0
-            emb = Embedding(X=res.X, Y=res.Y, name="nrp")
-            auc = link_prediction_auc(emb, split)
-            row = {"dataset": dataset, "param": pname, "value": val,
-                   "auc": round(auc, 4)}
-            if measure_time:
-                row["seconds"] = round(secs, 3)
-            rows.append(row)
+    for i, (pname, val) in enumerate(points):
+        kw = {**defaults, pname: val}
+
+        def embed():
+            return nrp(split.train, k, seed=seed, **kw)
+
+        if measure_time:
+            secs, res = _median_seconds(embed, warm_up=i == 0)
+        else:
+            res = embed()
+        emb = Embedding(X=res.X, Y=res.Y, name="nrp")
+        auc = link_prediction_auc(emb, split)
+        row = {"dataset": dataset, "param": pname, "value": val,
+               "auc": round(auc, 4)}
+        if measure_time:
+            row["seconds"] = round(secs, 3)
+            row["repeats"] = TIMING_REPEATS
+        rows.append(row)
     title = "Fig 11: NRP runtime vs parameters" if measure_time else \
         "Fig 8: NRP link-prediction AUC vs parameters"
     return _print(pd.DataFrame(rows), title)
@@ -355,10 +380,6 @@ def evolving_table(
 
 
 # ------------------------------------------------------------- Fig 10 (scal.)
-#: timed embeds per Fig. 10 row; the row reports their median
-SCALABILITY_REPEATS = 3
-
-
 def scalability_table(
     spark: SparkSession | None,
     *,
@@ -374,9 +395,9 @@ def scalability_table(
     """Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs, varying n at
     fixed m and m at fixed n (paper used n up to 1e6, m up to 1e8; we scale
     both down 10x — DESIGN.md §3). ``lam=1`` as in every quality table.
-    NRP runs on the Spark backend when ``spark`` is given. After one
-    discarded warm-up, a row's seconds are the median of
-    ``SCALABILITY_REPEATS`` embeds, each on a fresh view of the graph, so
+    NRP runs on the Spark backend when ``spark`` is given. A row's seconds
+    are timed as :func:`_median_seconds` times them, with the one warm-up
+    before the first row; each embed runs on a fresh view of the graph, so
     each pays its graph's CSR and plan builds."""
     backend = "spark" if spark is not None else "local"
     kw = dict(l1=l1, l2=l2, lam=1.0, seed=seed, backend=backend, spark=spark)
@@ -384,19 +405,13 @@ def scalability_table(
     rows = []
     for i, (vary, n, m) in enumerate(specs):
         g = erdos_renyi(n, m, seed=seed)
-        if i == 0:
-            # the first row is not timed cold (imports, the session's
-            # first Spark jobs)
-            nrp(g, k, **kw)
-        secs = []
-        for _ in range(SCALABILITY_REPEATS):
-            fresh = LocalGraph(g.edges, g.n, g.directed)
-            t0 = time.perf_counter()
-            nrp(fresh, k, **kw)
-            secs.append(time.perf_counter() - t0)
+
+        def embed():
+            return nrp(LocalGraph(g.edges, g.n, g.directed), k, **kw)
+
+        secs, _ = _median_seconds(embed, warm_up=i == 0)
         rows.append({"vary": vary, "n": n, "m": m,
-                     "seconds": round(float(np.median(secs)), 2),
-                     "repeats": SCALABILITY_REPEATS})
+                     "seconds": round(secs, 2), "repeats": TIMING_REPEATS})
     return _print(
         pd.DataFrame(rows),
         f"Fig 10: NRP scalability on Erdos-Renyi graphs ({backend} backend)",
@@ -515,6 +530,11 @@ def run(name: str, spark: SparkSession | None = None) -> pd.DataFrame:
     # rebuild the datasets, so the seconds do not depend on the runs before
     load_dataset.cache_clear()
     load_evolving.cache_clear()
+    if spark is not None:
+        # one discarded job over every task slot, so the session's first
+        # jobs (JVM warm-up, Python worker start) are not timed
+        slots = spark.sparkContext.defaultParallelism
+        spark.sparkContext.parallelize(range(slots), slots).count()
     t0 = time.perf_counter()
     df = entry.table(spark=spark) if entry.spark else entry.table()
     seconds = time.perf_counter() - t0

@@ -10,8 +10,7 @@ Two views of the same graph:
   :meth:`SparkGraph.columns` call is one Spark job that runs a whole
   column-separable function (the BKSVD Krylov chain, the PPR loop) on
   column slices of X and returns the same bits as the ``LocalGraph`` run.
-  Its arc DataFrame (and the transition probabilities derived from it) is
-  off the NRP path: it serves only the tests of :mod:`repro.linalg.longmat`.
+  The broadcast is all it keeps on Spark; it holds no DataFrame.
 
 Both graphs are *product providers*: ``columns(fn, X)`` runs
 ``fn(ops, X)``, where ``ops`` has ``spmv``/``spmv_t``/``pmv``. Both run
@@ -35,13 +34,10 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+from pyspark.sql import SparkSession
 
 
 def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
@@ -338,29 +334,21 @@ class LocalGraph:
 
 
 class SparkGraph:
-    """Spark view of a :class:`LocalGraph`: a product provider plus an arc
-    DataFrame.
+    """Spark view of a :class:`LocalGraph`: one broadcast and a product
+    provider over it.
 
     The jagged-diagonal plans of A and A^T (one plan when the graph is
     undirected) and the row divisor of P are broadcast once, so each
-    executor holds one copy of them. A
-    :meth:`columns` call is one Spark job: it ships column slices of X, each
-    task runs the whole function on its slice over the broadcast arrays,
-    and the driver joins the slices' outputs. Every result has the same
-    bits as the in-process run.
-
-    ``arcs`` is a cached DataFrame ``(src: long, dst: long)``, built on
-    first use. It and :meth:`transition_arcs` are off the NRP path: they
-    serve only the tests of :mod:`repro.linalg.longmat` and are themselves
-    checked against the DuckDB oracle. :meth:`unpersist` destroys the graph
-    broadcast and releases the arcs.
+    executor holds one copy of them. A :meth:`columns` call is one Spark
+    job: it ships column slices of X, each task runs the whole function on
+    its slice over the broadcast arrays, and the driver joins the slices'
+    outputs. Every result has the same bits as the in-process run.
+    :meth:`unpersist` destroys the broadcast.
     """
 
     def __init__(self, spark: SparkSession, local: LocalGraph):
         self.spark = spark
-        self.local = local
         self.n = local.n
-        self.directed = local.directed
         self._graph = spark.sparkContext.broadcast(
             (local.jds(), local.jds_t(), _row_divisor(local.d_out))
         )
@@ -386,26 +374,5 @@ class SparkGraph:
         rdd = sc.parallelize(slices, parts)
         return np.concatenate(rdd.mapPartitions(run).collect(), axis=-1)
 
-    @cached_property
-    def arcs(self) -> DataFrame:
-        """Cached ``(src, dst)`` DataFrame of the arcs."""
-        a = self.local.arcs
-        pdf = pd.DataFrame({"src": a[:, 0], "dst": a[:, 1]})
-        df = self.spark.createDataFrame(pdf).cache()
-        df.count()  # materialize
-        return df
-
-    def transition_arcs(self) -> DataFrame:
-        """(src, dst, p) with p = 1/d_out(src): the sparse transition matrix."""
-        deg = self.arcs.groupBy(F.col("src").alias("u")).agg(
-            F.count("*").alias("d")
-        )
-        return (
-            self.arcs.join(deg, self.arcs.src == deg.u)
-            .select("src", "dst", (F.lit(1.0) / F.col("d")).alias("p"))
-        )
-
     def unpersist(self) -> None:
         self._graph.destroy()
-        if "arcs" in self.__dict__:
-            self.arcs.unpersist()

@@ -1,4 +1,3 @@
 """Randomized block-Krylov SVD over matvec callables, plus long-format
-DataFrame matrices (no longer on the NRP path; kept for their tests and the
-benchmark tracer)."""
+DataFrame matrices (not on the NRP path; kept for the benchmark tracer)."""
 from repro.linalg.longmat import LongMatrix  # noqa: F401

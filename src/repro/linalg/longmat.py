@@ -1,21 +1,17 @@
-"""Long-format distributed dense matrices.
+"""Long-format distributed dense matrices, kept for the benchmark tracer.
 
-An ``n x k`` dense matrix (node embeddings, Krylov blocks) is a DataFrame
-``(i: long, j: int, v: double)``. ``k`` is small (<= a few hundred) while
-``n`` is large, so every op below is a Catalyst join/aggregation:
+An ``n x k`` dense matrix is a DataFrame ``(i: long, j: int, v: double)``;
+a node with no entries is a zero row, which ``to_numpy`` fills in. NRP
+does not use this module: its Spark products are the column-slice jobs of
+:class:`repro.graphs.edgelist.SparkGraph`. The five ops left are the ones
+``nrpbench/spans.py`` imports and patches by name, so they stay until the
+tracer stops patching them:
 
-* ``spmm(arcs, X)``       — sparse adjacency times dense: one join + groupBy.
-* ``gram(X, Y) = X^T Y``  — k x k' aggregate collected to the driver.
-* ``mm_small(X, W)``      — dense times a small driver-side matrix.
-
-Zero rows are kept implicit: a node with no entries is a zero row;
-``to_numpy`` fills it in. ``checkpoint()`` truncates lineage between
-iterations (localCheckpoint), which is what keeps 20-iteration PPR plans
-from blowing up the optimizer.
-
-NRP no longer uses this module: its Spark products are the column-slice
-jobs of :class:`repro.graphs.edgelist.SparkGraph`.
-It is kept for its own tests and for the benchmark's tracer.
+* ``from_numpy`` / ``to_numpy`` — to and from a driver-side array;
+* ``spmm(arcs, n_out[, weight_col])`` — sparse times dense, one join +
+  groupBy over an ``(src, dst[, weight])`` DataFrame;
+* ``gram(X, Y) = X^T Y``  — a k x k' aggregate collected to the driver;
+* ``checkpoint()`` — materialize and truncate lineage (localCheckpoint).
 """
 from __future__ import annotations
 
@@ -72,32 +68,6 @@ class LongMatrix:
         )
         return LongMatrix(out, n_out, self.n_cols)
 
-    def axpy(self, alpha: float, other: "LongMatrix") -> "LongMatrix":
-        """``alpha * self + other`` (elementwise, union + re-aggregate)."""
-        assert (self.n_rows, self.n_cols) == (other.n_rows, other.n_cols)
-        a = self.df.select("i", "j", (F.col("v") * F.lit(alpha)).alias("v"))
-        out = (
-            a.unionByName(other.df.select("i", "j", "v"))
-            .groupBy("i", "j")
-            .agg(F.sum("v").alias("v"))
-        )
-        return LongMatrix(out, self.n_rows, self.n_cols)
-
-    def scale(self, alpha: float) -> "LongMatrix":
-        return LongMatrix(
-            self.df.select("i", "j", (F.col("v") * F.lit(alpha)).alias("v")),
-            self.n_rows,
-            self.n_cols,
-        )
-
-    def scale_rows(self, row_weights: DataFrame) -> "LongMatrix":
-        """Multiply row i by ``row_weights`` (columns: id, w)."""
-        out = (
-            self.df.join(row_weights, self.df.i == row_weights.id)
-            .select("i", "j", (F.col("v") * F.col("w")).alias("v"))
-        )
-        return LongMatrix(out, self.n_rows, self.n_cols)
-
     def gram(self, other: "LongMatrix") -> np.ndarray:
         """``self.T @ other`` as a small numpy array (k x k')."""
         assert self.n_rows == other.n_rows
@@ -116,36 +86,6 @@ class LongMatrix:
         out = np.zeros((self.n_cols, other.n_cols))
         out[pdf["ja"].to_numpy(), pdf["jb"].to_numpy()] = pdf["v"].to_numpy()
         return out
-
-    def mm_small(self, spark: SparkSession, w: np.ndarray) -> "LongMatrix":
-        """``self @ w`` for a small driver-side (n_cols x k2) matrix."""
-        w = np.asarray(w, dtype=np.float64)
-        assert w.shape[0] == self.n_cols
-        k2 = w.shape[1]
-        jj, j2 = np.nonzero(np.ones_like(w, dtype=bool))
-        wdf = spark.createDataFrame(
-            pd.DataFrame(
-                {"jw": jj.astype(np.int32), "j2": j2.astype(np.int32),
-                 "w": w.ravel()}
-            )
-        )
-        out = (
-            self.df.join(F.broadcast(wdf), self.df.j == wdf.jw)
-            .select("i", F.col("j2").alias("j"), (F.col("v") * F.col("w")).alias("v"))
-            .groupBy("i", "j")
-            .agg(F.sum("v").alias("v"))
-        )
-        return LongMatrix(out, self.n_rows, k2)
-
-    def hstack(self, other: "LongMatrix") -> "LongMatrix":
-        """Column-wise concatenation [self | other]."""
-        assert self.n_rows == other.n_rows
-        shifted = other.df.select(
-            "i", (F.col("j") + F.lit(self.n_cols)).cast("int").alias("j"), "v"
-        )
-        return LongMatrix(
-            self.df.unionByName(shifted), self.n_rows, self.n_cols + other.n_cols
-        )
 
     def checkpoint(self) -> "LongMatrix":
         """Materialize and truncate lineage (eager localCheckpoint)."""

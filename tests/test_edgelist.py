@@ -6,7 +6,6 @@ import sys
 import tracemalloc
 
 import numpy as np
-import pandas as pd
 import pytest
 
 from pyspark import RDD, cloudpickle
@@ -25,7 +24,6 @@ from repro.graphs.edgelist import (
 )
 from repro.graphs.generators import erdos_renyi, example_graph
 from repro.linalg.bksvd import _make_krylov_chain
-from repro.oracle import assert_equivalent
 from tests.toy_graphs import directed_cycle, ring, star
 
 
@@ -278,38 +276,6 @@ def test_m_counts_input_edges_once():
     assert directed_cycle(10).m == 10
 
 
-# ---------------------------------------------------------------- SparkGraph
-def _arc_pdf(g):
-    return pd.DataFrame({"src": g.arcs[:, 0], "dst": g.arcs[:, 1]})
-
-
-#: P as arcs (src, dst, p = 1/d_out(src))
-_TRANSITION_SQL = """
-    SELECT a.src AS src, a.dst AS dst, 1.0 / d.d AS p
-    FROM arcs a JOIN (
-      SELECT src, COUNT(*) AS d FROM arcs GROUP BY src
-    ) d USING (src)
-"""
-
-
-def test_spark_transition_arcs_oracle(spark):
-    g = example_graph()
-    sg = SparkGraph(spark, g)
-    assert_equivalent(sg.transition_arcs(), _TRANSITION_SQL, arcs=_arc_pdf(g))
-    sg.unpersist()
-
-
-def test_oracle_rejects_wrong_transition_arcs(spark):
-    # the oracle must catch a wrong result: p = 1/d_in(dst) is not P on a
-    # directed graph whose arcs join nodes of different in- and out-degree
-    g = erdos_renyi(30, 60, directed=True, seed=3)
-    src, dst = g.arcs.T
-    assert np.any(g.d_in[dst] != g.d_out[src])
-    wrong = spark.createDataFrame(_arc_pdf(g).assign(p=1.0 / g.d_in[dst]))
-    with pytest.raises(AssertionError):
-        assert_equivalent(wrong, _TRANSITION_SQL, arcs=_arc_pdf(g))
-
-
 # ------------------------------------------------------- SparkGraph matvecs
 def _star_with_isolated():
     # hub 0 holds every out-arc, so most rows of A are all zero; nodes
@@ -349,8 +315,8 @@ def test_spark_graph_unpersist_releases_blocks(spark, broadcasts):
     g = ring(12)
     sg = SparkGraph(spark, g)
     sg.columns(CSRProducts.spmv, np.ones((g.n, 2)))
-    sg.arcs  # builds the cached arc DataFrame too
-    assert jsc.getPersistentRDDs().size() > before
+    # the broadcast is all the graph holds on Spark: it caches no RDD
+    assert jsc.getPersistentRDDs().size() == before
     assert broadcasts and all(b._jbroadcast.isValid() for b in broadcasts)
     sg.unpersist()
     assert jsc.getPersistentRDDs().size() == before

@@ -89,9 +89,28 @@ def test_scalability_table_tiny(monkeypatch):
         k=8, l1=5, l2=2, seed=0,
     )
     assert len(df) == 2 and (df.seconds > 0).all()
-    assert (df.repeats == H.SCALABILITY_REPEATS).all()
+    assert (df.repeats == H.TIMING_REPEATS).all()
     # one discarded warm-up, then the repeats of each row
-    assert lams == [1.0] * (1 + 2 * H.SCALABILITY_REPEATS)
+    assert lams == [1.0] * (1 + 2 * H.TIMING_REPEATS)
+
+
+def test_param_sweep_timed_tiny(monkeypatch):
+    # Fig. 11 is timed as Fig. 10 is: one warm-up, then the repeats of each
+    # grid point
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs)
+        return nrp(*args, **kwargs)
+
+    monkeypatch.setattr(H, "nrp", spy)
+    df = H.param_sweep_table(
+        "wiki_lite", alphas=(0.15,), epss=(0.2,), l1s=(5,), l2s=(0, 2),
+        k=8, seed=0, measure_time=True,
+    )
+    assert len(df) == 5 and (df.seconds > 0).all()
+    assert (df.repeats == H.TIMING_REPEATS).all()
+    assert len(calls) == 1 + 5 * H.TIMING_REPEATS
 
 
 def test_evolving_table_tiny():

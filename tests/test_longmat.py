@@ -1,13 +1,11 @@
-"""Long-format distributed matrices: every op against numpy and, where
-SQL-expressible, against the DuckDB oracle."""
+"""Long-format distributed matrices: every op the benchmark tracer patches,
+against numpy."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.graphs.edgelist import SparkGraph
 from repro.graphs.generators import erdos_renyi
 from repro.linalg.longmat import LongMatrix
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")
@@ -29,60 +27,27 @@ def test_roundtrip_all_zero(spark):
 
 def test_spmm_matches_numpy(spark, rng):
     g = erdos_renyi(30, 90, directed=True, seed=1)
-    sg = SparkGraph(spark, g)
+    arcs = spark.createDataFrame(
+        pd.DataFrame({"src": g.arcs[:, 0], "dst": g.arcs[:, 1]})
+    )
     x = rng.standard_normal((30, 3))
-    got = LongMatrix.from_numpy(spark, x).spmm(sg.arcs, 30).to_numpy()
+    got = LongMatrix.from_numpy(spark, x).spmm(arcs, 30).to_numpy()
     np.testing.assert_allclose(got, g.adjacency() @ x, atol=1e-10)
-    sg.unpersist()
 
 
 def test_spmm_weighted_matches_transition(spark, rng):
     g = erdos_renyi(25, 80, seed=2)
-    sg = SparkGraph(spark, g)
+    src, dst = g.arcs.T
+    arcs = spark.createDataFrame(
+        pd.DataFrame({"src": src, "dst": dst, "p": 1.0 / g.d_out[src]})
+    )
     x = rng.standard_normal((25, 4))
     got = (
         LongMatrix.from_numpy(spark, x)
-        .spmm(sg.transition_arcs(), 25, weight_col="p")
+        .spmm(arcs, 25, weight_col="p")
         .to_numpy()
     )
     np.testing.assert_allclose(got, g.transition() @ x, atol=1e-10)
-    sg.unpersist()
-
-
-def test_spmm_oracle_sql(spark, rng):
-    """The spmm superstep is plain SQL — check it against DuckDB."""
-    g = erdos_renyi(20, 50, directed=True, seed=3)
-    sg = SparkGraph(spark, g)
-    xn = rng.standard_normal((20, 2))
-    x = LongMatrix.from_numpy(spark, xn)
-    got = x.spmm(sg.arcs, 20)
-    assert_equivalent(
-        got.df,
-        """
-        SELECT a.src AS i, x.j AS j, SUM(x.v) AS v
-        FROM arcs a JOIN x ON a.dst = x.i
-        GROUP BY a.src, x.j
-        """,
-        arcs=pd.DataFrame({"src": g.arcs[:, 0], "dst": g.arcs[:, 1]}),
-        x=x.df,
-    )
-    sg.unpersist()
-
-
-def test_axpy_and_scale(spark, rng):
-    a = rng.standard_normal((12, 3))
-    b = rng.standard_normal((12, 3))
-    ma, mb = LongMatrix.from_numpy(spark, a), LongMatrix.from_numpy(spark, b)
-    np.testing.assert_allclose(ma.axpy(2.5, mb).to_numpy(), 2.5 * a + b)
-    np.testing.assert_allclose(ma.scale(-3.0).to_numpy(), -3.0 * a)
-
-
-def test_scale_rows(spark, rng):
-    a = rng.standard_normal((8, 3))
-    w = rng.standard_normal(8)
-    wdf = spark.createDataFrame(pd.DataFrame({"id": range(8), "w": w}))
-    got = LongMatrix.from_numpy(spark, a).scale_rows(wdf).to_numpy()
-    np.testing.assert_allclose(got, w[:, None] * a)
 
 
 def test_gram(spark, rng):
@@ -91,24 +56,6 @@ def test_gram(spark, rng):
     ma, mb = LongMatrix.from_numpy(spark, a), LongMatrix.from_numpy(spark, b)
     np.testing.assert_allclose(ma.gram(mb), a.T @ b, atol=1e-10)
     np.testing.assert_allclose(ma.gram(ma), a.T @ a, atol=1e-10)
-
-
-def test_mm_small(spark, rng):
-    a = rng.standard_normal((15, 4))
-    w = rng.standard_normal((4, 2))
-    got = LongMatrix.from_numpy(spark, a).mm_small(spark, w).to_numpy()
-    np.testing.assert_allclose(got, a @ w, atol=1e-10)
-
-
-def test_hstack(spark, rng):
-    a = rng.standard_normal((10, 2))
-    b = rng.standard_normal((10, 3))
-    got = (
-        LongMatrix.from_numpy(spark, a)
-        .hstack(LongMatrix.from_numpy(spark, b))
-        .to_numpy()
-    )
-    np.testing.assert_allclose(got, np.hstack([a, b]))
 
 
 def test_checkpoint_preserves_values(spark, rng):

@@ -2,7 +2,9 @@
 class defined in ``src/repro`` is referenced from ``src/``, ``benchmarks/``,
 ``nrpbench/`` or ``jobs/``, by a name, an attribute or a string (the
 benchmark tracer patches methods by their names). An import alone, such as
-a package ``__init__`` re-export, is not a reference."""
+a package ``__init__`` re-export, is not a reference. And the DataFrame
+layer stays fenced: only ``linalg/longmat.py`` may import
+``pyspark.sql.functions``, and nothing imports ``duckdb``."""
 import ast
 from pathlib import Path
 
@@ -16,14 +18,6 @@ ALLOWED = {
     "naive_backward_terms",  # Eq. (7) per-node terms, O(n^2 k'^2)
     "naive_forward_terms",  # Eq. (23) per-node terms, O(n^2 k'^2)
     "ppr_truncated",  # Eq. (3) truncated PPR matrix
-    # the DataFrame layer, deleted once the benchmark tracer stops
-    # patching LongMatrix (ROADMAP item 2)
-    "LongMatrix.axpy",
-    "LongMatrix.scale",
-    "LongMatrix.scale_rows",
-    "LongMatrix.mm_small",
-    "SparkGraph.transition_arcs",
-    "assert_equivalent",
 }
 
 
@@ -82,3 +76,29 @@ def test_every_definition_has_a_non_test_reference():
     assert not unused, "only tests reference:\n" + "\n".join(unused)
     stale = ALLOWED - {q for _, q in unreferenced}
     assert not stale, f"allowed but referenced or gone: {sorted(stale)}"
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """Dotted names of the modules the module imports, including each
+    ``from package import name`` as ``package.name``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+            out |= {f"{node.module}.{a.name}" for a in node.names}
+    return out
+
+
+def test_dataframe_layer_stays_fenced():
+    importers = {"duckdb": [], "pyspark.sql.functions": []}
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        mods = _imported_modules(ast.parse(path.read_text(), str(path)))
+        rel = path.relative_to(ROOT / "src" / "repro").as_posix()
+        for fenced, found in importers.items():
+            if any(m == fenced or m.startswith(fenced + ".") for m in mods):
+                found.append(rel)
+    assert importers == {
+        "duckdb": [], "pyspark.sql.functions": ["linalg/longmat.py"],
+    }
