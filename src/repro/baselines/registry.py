@@ -18,25 +18,22 @@ from repro.graphs.edgelist import LocalGraph
 
 
 def _nrp_embed(
-    g: LocalGraph, k: int, seed: int, spark: Optional[SparkSession] = None,
-    **kw,
+    g: LocalGraph, k: int, seed: int, spark: Optional[SparkSession] = None
 ) -> Embedding:
     backend = "spark" if spark is not None else "local"
     # lam=1 is the lite-scale analogue of the paper's lam=10: the
     # regularizer must stay small against degree-residual terms that are
     # ~2 orders of magnitude smaller on graphs 40-1000x below paper scale
-    kw.setdefault("lam", 1.0)
-    res = nrp(g, k, seed=seed, backend=backend, spark=spark, **kw)
+    res = nrp(g, k, lam=1.0, seed=seed, backend=backend, spark=spark)
     return Embedding(X=res.X, Y=res.Y, name="nrp")
 
 
 def _approxppr_embed(
-    g: LocalGraph, k: int, seed: int, spark: Optional[SparkSession] = None,
-    **kw,
+    g: LocalGraph, k: int, seed: int, spark: Optional[SparkSession] = None
 ) -> Embedding:
     backend = "spark" if spark is not None else "local"
     X, Y = approxppr(
-        g, max(k // 2, 1), seed=seed, backend=backend, spark=spark, **kw
+        g, max(k // 2, 1), seed=seed, backend=backend, spark=spark
     )
     return Embedding(X=X, Y=Y, name="approxppr")
 
@@ -61,15 +58,14 @@ class Method:
         k: int,
         seed: int = 0,
         spark: Optional[SparkSession] = None,
-        **kw,
     ) -> Embedding:
         if not self.fits(g):
             raise ValueError(
                 f"{self.name} capped at n <= {self.max_n} (got {g.n})"
             )
         if self.spark_capable:
-            return self.fn(g, k, seed, spark=spark, **kw)
-        return self.fn(g, k, seed=seed, **kw)
+            return self.fn(g, k, seed, spark=spark)
+        return self.fn(g, k, seed=seed)
 
 
 METHODS: dict[str, Method] = {

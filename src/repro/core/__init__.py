@@ -1,4 +1,2 @@
 """The paper's contribution: ApproxPPR (Alg. 1), node reweighting
 (Algs. 2 & 4), and the complete NRP pipeline (Alg. 3)."""
-from repro.core.approxppr import approxppr  # noqa: F401
-from repro.core.nrp import nrp  # noqa: F401

@@ -1,2 +1,1 @@
 """Experiment harness: lite dataset registry + one runner per paper table."""
-from repro.experiments.datasets import DATASETS, EVOLVING, load_dataset  # noqa: F401

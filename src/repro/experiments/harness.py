@@ -34,8 +34,8 @@ from repro.core.approxppr import make_ppr_cols
 from repro.core.nrp import nrp
 from repro.embedding import Embedding
 from repro.experiments.datasets import (
-    _EVOLVING_SPECS,
-    _SPECS,
+    DATASETS,
+    EVOLVING,
     load_dataset,
     load_evolving,
 )
@@ -117,7 +117,7 @@ def table1_ppr(spark: SparkSession | None = None) -> pd.DataFrame:
 # ------------------------------------------------------------- Tables 3 & 4
 def datasets_table() -> pd.DataFrame:
     rows = []
-    for name in _SPECS:
+    for name in DATASETS:
         b = load_dataset(name)
         r = stats_row(
             b.graph,
@@ -132,12 +132,37 @@ def datasets_table() -> pd.DataFrame:
 
 def evolving_datasets_table() -> pd.DataFrame:
     rows = []
-    for name in _EVOLVING_SPECS:
+    for name in EVOLVING:
         g_old, new, paper = load_evolving(name)
         r = evolving_stats_row(g_old, new, name)
         r["paper_dataset"] = paper
         rows.append(r)
     return _print(pd.DataFrame(rows), "Table 4: evolving datasets (lite)")
+
+
+# ------------------------------------------------------------- method tables
+def _method_table(
+    datasets: list[str], methods: list[str], setup: Callable,
+    columns: dict[str, str], title: str,
+) -> pd.DataFrame:
+    """The method loop of Figs. 4-7 and 9. ``setup(ds)`` gives a dataset's
+    graph and its ``score(method)``, which yields the method's rows of the
+    scored ``columns`` (name: dtype). A method over its scale cap on the
+    graph gets one excluded row instead, with those columns empty, as the
+    paper drops the methods that miss its 7-day cutoff."""
+    rows = []
+    for ds in datasets:
+        g, score = setup(ds)
+        for name in methods:
+            m = get_method(name)
+            if not m.fits(g):
+                rows.append({"dataset": ds, "method": name,
+                             "note": "excluded (scale cap)"})
+                continue
+            rows += ({"dataset": ds, "method": name, **r, "note": ""}
+                     for r in score(m))
+    df = pd.DataFrame(rows, columns=["dataset", "method", *columns, "note"])
+    return _print(df.astype(columns), title)
 
 
 # ------------------------------------------------------------- Fig 4 (LP)
@@ -146,33 +171,26 @@ def link_prediction_table(
     methods: list[str],
     ks: list[int],
     *,
-    seed: int = 0,
     spark: SparkSession | None = None,
 ) -> pd.DataFrame:
     """Fig. 4: link-prediction AUC vs embedding dimensionality k. With
     ``spark``, the Spark-capable methods (NRP, ApproxPPR) embed on it."""
-    rows = []
-    for ds in datasets:
-        b = load_dataset(ds)
-        split = link_prediction_split(b.graph, frac=0.3, seed=seed)
-        for name in methods:
-            m = get_method(name)
-            if not m.fits(b.graph):
-                rows.append(
-                    {"dataset": ds, "method": name, "k": None, "auc": None,
-                     "note": "excluded (scale cap, cf. paper's 7-day cutoff)"}
-                )
-                continue
+    def setup(ds):
+        g = load_dataset(ds).graph
+        split = link_prediction_split(g, frac=0.3)
+
+        def score(m):
             for k in ks:
-                emb = m.embed(split.train, k, seed=seed, spark=spark)
+                emb = m.embed(split.train, k, spark=spark)
                 auc = link_prediction_auc(
-                    emb, split, protocol=protocol_for(m, b.graph), seed=seed
+                    emb, split, protocol=protocol_for(m, g)
                 )
-                rows.append(
-                    {"dataset": ds, "method": name, "k": k,
-                     "auc": round(auc, 4), "note": ""}
-                )
-    return _print(pd.DataFrame(rows), "Fig 4: link prediction AUC")
+                yield {"k": k, "auc": round(auc, 4)}
+        return g, score
+
+    return _method_table(datasets, methods, setup,
+                         {"k": "Int64", "auc": "float64"},
+                         "Fig 4: link prediction AUC")
 
 
 # ------------------------------------------------------------- Fig 5 (GR)
@@ -180,34 +198,27 @@ def reconstruction_table(
     datasets: list[str],
     methods: list[str],
     ks_eval: list[int],
-    *,
-    k: int = 32,
-    sample_above_n: int = 4000,
-    seed: int = 0,
 ) -> pd.DataFrame:
-    """Fig. 5: graph reconstruction precision@K (all pairs on small graphs,
-    a 1%-of-pairs sample on larger ones — the paper's protocol)."""
-    rows = []
-    for ds in datasets:
-        b = load_dataset(ds)
-        n = b.graph.n
+    """Fig. 5: graph reconstruction precision@K of k = 32 embeddings (all
+    pairs on graphs up to n = 4000, a 1%-of-pairs sample on larger ones —
+    the paper's protocol)."""
+    def setup(ds):
+        g = load_dataset(ds).graph
         sample = None
-        if n > sample_above_n:
-            sample = min(int(0.01 * n * (n - 1) / 2), 2_000_000)
-        for name in methods:
-            m = get_method(name)
-            if not m.fits(b.graph):
-                rows.append({"dataset": ds, "method": name, "K": None,
-                             "precision": None, "note": "excluded (scale cap)"})
-                continue
-            emb = m.embed(b.graph, k, seed=seed)
+        if g.n > 4000:
+            sample = min(int(0.01 * g.n * (g.n - 1) / 2), 2_000_000)
+
+        def score(m):
             prec = reconstruction_precision(
-                emb, b.graph, ks_eval, sample=sample, seed=seed
+                m.embed(g, 32), g, ks_eval, sample=sample
             )
             for K, p in prec.items():
-                rows.append({"dataset": ds, "method": name, "K": K,
-                             "precision": round(p, 4), "note": ""})
-    return _print(pd.DataFrame(rows), "Fig 5: graph reconstruction precision@K")
+                yield {"K": K, "precision": round(p, 4)}
+        return g, score
+
+    return _method_table(datasets, methods, setup,
+                         {"K": "Int64", "precision": "float64"},
+                         "Fig 5: graph reconstruction precision@K")
 
 
 # ------------------------------------------------------------- Fig 6 (NC)
@@ -217,62 +228,32 @@ def classification_table(
     ratios: list[float],
     *,
     k: int = 32,
-    seed: int = 0,
 ) -> pd.DataFrame:
-    """Fig. 6: node classification micro/macro F1 vs train ratio."""
-    rows = []
-    for ds in datasets:
+    """Fig. 6: node classification micro/macro F1 vs train ratio, on the
+    labelled ``datasets``."""
+    def setup(ds):
         b = load_dataset(ds)
-        if b.labels is None:
-            continue
-        for name in methods:
-            m = get_method(name)
-            if not m.fits(b.graph):
-                rows.append({"dataset": ds, "method": name, "ratio": None,
-                             "micro_f1": None, "macro_f1": None,
-                             "note": "excluded (scale cap)"})
-                continue
-            emb = m.embed(b.graph, k, seed=seed)
+
+        def score(m):
+            emb = m.embed(b.graph, k)
             for r in ratios:
                 micro, macro = node_classification_f1(
-                    emb, b.labels, train_ratio=r, seed=seed
+                    emb, b.labels, train_ratio=r
                 )
-                rows.append({"dataset": ds, "method": name, "ratio": r,
-                             "micro_f1": round(micro, 4),
-                             "macro_f1": round(macro, 4), "note": ""})
-    return _print(pd.DataFrame(rows), "Fig 6: node classification F1")
+                yield {"ratio": r, "micro_f1": round(micro, 4),
+                       "macro_f1": round(macro, 4)}
+        return b.graph, score
 
-
-# ------------------------------------------------------------- Fig 7 (time)
-def efficiency_table(
-    datasets: list[str],
-    methods: list[str],
-    ks: list[int],
-    *,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """Fig. 7: embedding construction time vs k (excluded methods mirror the
-    paper's 7-day cutoff via scale caps)."""
-    rows = []
-    for ds in datasets:
-        b = load_dataset(ds)
-        for name in methods:
-            m = get_method(name)
-            if not m.fits(b.graph):
-                rows.append({"dataset": ds, "method": name, "k": None,
-                             "seconds": None, "note": "excluded (scale cap)"})
-                continue
-            for k in ks:
-                t0 = time.perf_counter()
-                m.embed(b.graph, k, seed=seed)
-                rows.append({"dataset": ds, "method": name, "k": k,
-                             "seconds": round(time.perf_counter() - t0, 3),
-                             "note": ""})
-    return _print(pd.DataFrame(rows), "Fig 7: embedding construction time (s)")
+    labelled = [ds for ds in datasets if load_dataset(ds).labels is not None]
+    return _method_table(
+        labelled, methods, setup,
+        {"ratio": "float64", "micro_f1": "float64", "macro_f1": "float64"},
+        "Fig 6: node classification F1",
+    )
 
 
 # ------------------------------------------------------------- timing
-#: timed embeds per row of a timed table (Figs. 10, 11); the row reports
+#: timed embeds per row of a timed table (Figs. 7, 10, 11); the row reports
 #: their median
 TIMING_REPEATS = 3
 
@@ -292,17 +273,46 @@ def _median_seconds(embed: Callable, *, warm_up: bool) -> tuple[float, object]:
     return float(np.median(secs)), out
 
 
+# ------------------------------------------------------------- Fig 7 (time)
+def efficiency_table(
+    datasets: list[str],
+    methods: list[str],
+    ks: list[int],
+) -> pd.DataFrame:
+    """Fig. 7: embedding construction time vs k. A row's seconds are timed
+    as :func:`_median_seconds` times them, with the one warm-up before the
+    table's first row."""
+    warm_up = True
+
+    def setup(ds):
+        g = load_dataset(ds).graph
+
+        def score(m):
+            nonlocal warm_up
+            for k in ks:
+                secs, _ = _median_seconds(partial(m.embed, g, k),
+                                          warm_up=warm_up)
+                warm_up = False
+                yield {"k": k, "seconds": round(secs, 3),
+                       "repeats": TIMING_REPEATS}
+        return g, score
+
+    return _method_table(
+        datasets, methods, setup,
+        {"k": "Int64", "seconds": "float64", "repeats": "Int64"},
+        "Fig 7: embedding construction time (s)",
+    )
+
+
 # ------------------------------------------------------------- Fig 8 / 11
 def param_sweep_table(
     dataset: str,
     *,
-    alphas=(0.1, 0.15, 0.3, 0.5, 0.7, 0.9),
-    epss=(0.1, 0.2, 0.5, 0.9),
-    l1s=(1, 5, 10, 20, 30),
-    l2s=(0, 2, 5, 10, 20),
+    alphas: tuple[float, ...],
+    epss: tuple[float, ...],
+    l1s: tuple[int, ...],
+    l2s: tuple[int, ...],
     k: int = 32,
-    lam: float = 1.0,
-    seed: int = 0,
     measure_time: bool = False,
 ) -> pd.DataFrame:
     """Fig. 8 (AUC) / Fig. 11 (runtime) parameter analysis for NRP: vary
@@ -311,8 +321,8 @@ def param_sweep_table(
     ``measure_time``, a point's seconds are timed as :func:`_median_seconds`
     times them, with the one warm-up before the first point."""
     b = load_dataset(dataset)
-    split = link_prediction_split(b.graph, frac=0.3, seed=seed)
-    defaults = dict(alpha=0.15, eps=0.2, l1=20, l2=10, lam=lam)
+    split = link_prediction_split(b.graph, frac=0.3)
+    defaults = dict(alpha=0.15, eps=0.2, l1=20, l2=10, lam=1.0)
     grids = {"alpha": alphas, "eps": epss, "l1": l1s, "l2": l2s}
     points = [(pname, val) for pname, grid in grids.items() for val in grid]
     rows = []
@@ -320,7 +330,7 @@ def param_sweep_table(
         kw = {**defaults, pname: val}
 
         def embed():
-            return nrp(split.train, k, seed=seed, **kw)
+            return nrp(split.train, k, **kw)
 
         if measure_time:
             secs, res = _median_seconds(embed, warm_up=i == 0)
@@ -345,13 +355,11 @@ def evolving_table(
     methods: list[str],
     *,
     k: int = 32,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Appendix Fig. 9: predict real future edges from the old snapshot."""
-    rows = []
-    for ds in datasets:
-        g_old, new_edges, paper = load_evolving(ds)
-        rng = np.random.default_rng(seed)
+    def setup(ds):
+        g_old, new_edges, _ = load_evolving(ds)
+        rng = np.random.default_rng(0)
         # negatives: pairs absent from both snapshots
         union = LocalGraph(
             np.vstack([g_old.edges, new_edges]), g_old.n, g_old.directed,
@@ -364,33 +372,27 @@ def evolving_table(
              np.zeros(len(neg), dtype=np.int64)]
         )
         split = LinkSplit(train=g_old, test_pairs=pairs, test_labels=labels)
-        for name in methods:
-            m = get_method(name)
-            if not m.fits(g_old):
-                rows.append({"dataset": ds, "method": name, "auc": None,
-                             "note": "excluded (scale cap)"})
-                continue
-            emb = m.embed(g_old, k, seed=seed)
+
+        def score(m):
             auc = link_prediction_auc(
-                emb, split, protocol=protocol_for(m, g_old), seed=seed
+                m.embed(g_old, k), split, protocol=protocol_for(m, g_old)
             )
-            rows.append({"dataset": ds, "method": name,
-                         "auc": round(auc, 4), "note": ""})
-    return _print(pd.DataFrame(rows), "Fig 9: link prediction on evolving graphs")
+            yield {"auc": round(auc, 4)}
+        return g_old, score
+
+    return _method_table(datasets, methods, setup, {"auc": "float64"},
+                         "Fig 9: link prediction on evolving graphs")
 
 
 # ------------------------------------------------------------- Fig 10 (scal.)
 def scalability_table(
     spark: SparkSession | None,
     *,
-    ns=(20_000, 40_000, 60_000, 80_000, 100_000),
-    ms=(200_000, 400_000, 600_000, 800_000, 1_000_000),
-    fixed_n: int = 100_000,
-    fixed_m: int = 1_000_000,
+    ns: tuple[int, ...],
+    ms: tuple[int, ...],
+    fixed_n: int,
+    fixed_m: int,
     k: int = 32,
-    l1: int = 20,
-    l2: int = 10,
-    seed: int = 0,
 ) -> pd.DataFrame:
     """Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs, varying n at
     fixed m and m at fixed n (paper used n up to 1e6, m up to 1e8; we scale
@@ -400,11 +402,11 @@ def scalability_table(
     before the first row; each embed runs on a fresh view of the graph, so
     each pays its graph's CSR and plan builds."""
     backend = "spark" if spark is not None else "local"
-    kw = dict(l1=l1, l2=l2, lam=1.0, seed=seed, backend=backend, spark=spark)
+    kw = dict(lam=1.0, backend=backend, spark=spark)
     specs = [("n", n, fixed_m) for n in ns] + [("m", fixed_n, m) for m in ms]
     rows = []
     for i, (vary, n, m) in enumerate(specs):
-        g = erdos_renyi(n, m, seed=seed)
+        g = erdos_renyi(n, m)
 
         def embed():
             return nrp(LocalGraph(g.edges, g.n, g.directed), k, **kw)
@@ -431,8 +433,7 @@ class Run(NamedTuple):
     spark: bool = False                 # called with spark=<session>
 
 
-#: The configuration behind each ``results/<name>.csv``. The harness
-#: functions' own defaults (e.g. the full Fig. 10 grid) stay one call away.
+#: The configuration behind each ``results/<name>.csv``.
 RUNS: dict[str, Run] = {
     "table1_ppr": Run(table1_ppr, spark=True),
     "table3_datasets": Run(datasets_table),
@@ -451,11 +452,10 @@ RUNS: dict[str, Run] = {
     "fig5_reconstruction_all_pairs": Run(partial(
         reconstruction_table, ["wiki_lite", "blogcatalog_lite"],
         ["nrp", "approxppr", "strap", "arope", "randne", "prone", "verse"],
-        [10, 100, 1000, 10_000, 100_000], k=32,
+        [10, 100, 1000, 10_000, 100_000],
     )),
     "fig5_reconstruction_sampled": Run(partial(
         reconstruction_table, ["youtube_lite"], SCALABLE, [10, 100, 1000],
-        k=32,
     )),
     # k=64 (k'=32 per side) keeps the dual methods' per-side dimension
     # above the 13-20 label counts, as the paper's k=128 does at full scale
@@ -490,7 +490,8 @@ RUNS: dict[str, Run] = {
         k=32,
     )),
     "fig10_scalability_spark_point": Run(partial(
-        scalability_table, ns=(20_000,), ms=(), fixed_m=200_000, k=16,
+        scalability_table, ns=(20_000,), ms=(), fixed_n=20_000,
+        fixed_m=200_000, k=16,
     ), spark=True),
     # tweibo_lite (n = 15K) is large enough that the l1 effect (matvec
     # count) dominates timing noise (EXPERIMENTS.md E-RTP)

@@ -1,3 +1,2 @@
-"""Graph substrate: edge-list graphs (local numpy + Spark DataFrame views),
-synthetic generators, and dataset statistics."""
-from repro.graphs.edgelist import LocalGraph, SparkGraph  # noqa: F401
+"""Graph substrate: edge-list graphs (local numpy arrays and their Spark
+broadcast view), synthetic generators, and dataset statistics."""

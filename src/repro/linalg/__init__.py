@@ -1,3 +1,2 @@
 """Randomized block-Krylov SVD over matvec callables, plus long-format
 DataFrame matrices (not on the NRP path; kept for the benchmark tracer)."""
-from repro.linalg.longmat import LongMatrix  # noqa: F401

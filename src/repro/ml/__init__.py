@@ -1,3 +1,2 @@
 """Minimal ML substrate (no sklearn offline): logistic regression used by
 the node-classification task and the edge-features link-prediction scorer."""
-from repro.ml.logreg import LogisticRegression  # noqa: F401

@@ -1,3 +1,2 @@
 """Evaluation tasks: link prediction (AUC), graph reconstruction
 (precision@K), node classification (micro/macro F1)."""
-from repro.tasks.metrics import auc_score, micro_macro_f1, precision_at_k  # noqa: F401

@@ -188,7 +188,7 @@ def test_blocky_plan_shape():
 
 
 @pytest.mark.parametrize("width", [1, 16, 128])
-def test_segment_sum_matches_jds_order(width):
+def test_jds_product_matches_jds_order(width):
     indptr, indices = _blocky_csr()
     X = np.random.default_rng(width).standard_normal((indptr.size - 1, width))
     assert np.array_equal(
@@ -198,14 +198,14 @@ def test_segment_sum_matches_jds_order(width):
 
 
 @pytest.mark.parametrize("n", [0, 5])
-def test_segment_sum_without_arcs(n):
+def test_jds_product_without_arcs(n):
     indptr, indices = np.zeros(n + 1, np.int64), np.zeros(0, np.int64)
     X = np.ones((n, 3))
     got = jds_product(X, jds_plan(indptr, indices))
     assert np.array_equal(got, np.zeros((n, 3)))
 
 
-def test_segment_sum_column_slices():
+def test_jds_product_column_slices():
     # a Spark job stacks the products of column slices (here of width 3 and
     # 13) and must equal the in-process product
     n, plan = _blocky_plan()
@@ -215,7 +215,7 @@ def test_segment_sum_column_slices():
     assert np.array_equal(stacked, jds_product(X, plan))
 
 
-def test_segment_sum_peak_memory():
+def test_jds_product_peak_memory():
     # numpy reports its buffers to tracemalloc; one reduceat over the whole
     # gather peaked at ~57 MB here (output 2.4 MB)
     g = erdos_renyi(20_000, 200_000, seed=0)

@@ -1,12 +1,14 @@
 """Harness smoke tests on tiny configurations (full runs live in
 benchmarks/; these verify row shapes, eligibility handling, and the
 Table 1 reproduction end to end)."""
+import io
 import json
 
 import numpy as np
+import pandas as pd
 import pytest
 
-from repro.baselines.registry import get_method
+from repro.baselines.registry import Method, get_method
 from repro.core.nrp import nrp
 from repro.experiments import harness as H
 from repro.experiments.datasets import load_dataset
@@ -61,15 +63,64 @@ def test_eligibility_and_protocol():
 
 
 def test_link_prediction_table_excludes_capped_methods():
-    df = H.link_prediction_table(["tweibo_lite"], ["gae"], [8], seed=0)
+    df = H.link_prediction_table(["tweibo_lite"], ["gae"], [8])
     assert df.auc.isna().all()
     assert df.note.str.contains("excluded").all()
 
 
+# one method under its scale cap (approxppr) and one over it (gae: n <= 2500)
+# on the same dataset, through each method table
+METHOD_TABLES = {
+    "fig4": (lambda m: H.link_prediction_table(["blogcatalog_lite"], m, [8]),
+             ["k"]),
+    "fig5": (lambda m: H.reconstruction_table(["blogcatalog_lite"], m,
+                                              [10, 100]), ["K"]),
+    "fig6": (lambda m: H.classification_table(["blogcatalog_lite"], m, [0.5],
+                                              k=8), []),
+    "fig7": (lambda m: H.efficiency_table(["blogcatalog_lite"], m, [8]),
+             ["k", "repeats"]),
+    "fig9": (lambda m: H.evolving_table(["vk_lite"], m, k=8), []),
+}
+
+
+@pytest.mark.parametrize("fig", sorted(METHOD_TABLES))
+def test_method_tables_exclude_alike(fig):
+    table, int_cols = METHOD_TABLES[fig]
+    df = table(["approxppr", "gae"])
+    excluded = df[df.method == "gae"]
+    assert list(excluded.note) == ["excluded (scale cap)"]
+    scored = [c for c in df if c not in ("dataset", "method", "note")]
+    assert excluded[scored].isna().all(axis=None)
+    assert (df[df.method == "approxppr"].note == "").all()
+    # integer columns are written as integers next to the empty fields of
+    # the excluded row
+    written = pd.read_csv(io.StringIO(df.to_csv(index=False)), dtype=str)
+    for col in int_cols:
+        assert written[col].dropna().str.isdigit().all()
+
+
+def test_efficiency_table_timed_tiny(monkeypatch):
+    # Fig. 7 is timed as Figs. 10 and 11 are: one warm-up, then the repeats
+    # of each row
+    calls = []
+    real = Method.embed
+
+    def spy(self, *args, **kwargs):
+        calls.append(self.name)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Method, "embed", spy)
+    df = H.efficiency_table(["blogcatalog_lite"], ["approxppr", "gae"],
+                            [8, 16])
+    assert len(calls) == 1 + 2 * H.TIMING_REPEATS
+    timed = df.dropna(subset=["seconds"])
+    assert len(timed) == 2 and (timed.seconds > 0).all()
+    assert (timed.repeats == H.TIMING_REPEATS).all()
+
+
 def test_param_sweep_tiny():
     df = H.param_sweep_table(
-        "wiki_lite", alphas=(0.15,), epss=(0.2,), l1s=(5,), l2s=(0, 2),
-        k=8, seed=0,
+        "wiki_lite", alphas=(0.15,), epss=(0.2,), l1s=(5,), l2s=(0, 2), k=8,
     )
     assert set(df.param) == {"alpha", "eps", "l1", "l2"}
     assert df.auc.between(0, 1).all()
@@ -85,8 +136,7 @@ def test_scalability_table_tiny(monkeypatch):
 
     monkeypatch.setattr(H, "nrp", spy)
     df = H.scalability_table(
-        None, ns=(2000,), ms=(4000,), fixed_n=2000, fixed_m=4000,
-        k=8, l1=5, l2=2, seed=0,
+        None, ns=(2000,), ms=(4000,), fixed_n=2000, fixed_m=4000, k=8,
     )
     assert len(df) == 2 and (df.seconds > 0).all()
     assert (df.repeats == H.TIMING_REPEATS).all()
@@ -106,7 +156,7 @@ def test_param_sweep_timed_tiny(monkeypatch):
     monkeypatch.setattr(H, "nrp", spy)
     df = H.param_sweep_table(
         "wiki_lite", alphas=(0.15,), epss=(0.2,), l1s=(5,), l2s=(0, 2),
-        k=8, seed=0, measure_time=True,
+        k=8, measure_time=True,
     )
     assert len(df) == 5 and (df.seconds > 0).all()
     assert (df.repeats == H.TIMING_REPEATS).all()
@@ -114,7 +164,7 @@ def test_param_sweep_timed_tiny(monkeypatch):
 
 
 def test_evolving_table_tiny():
-    df = H.evolving_table(["vk_lite"], ["approxppr"], k=8, seed=0)
+    df = H.evolving_table(["vk_lite"], ["approxppr"], k=8)
     assert len(df) == 1 and 0 <= float(df.auc.iloc[0]) <= 1
 
 
