@@ -1,6 +1,7 @@
 """Factorization-based baselines: AROPE, RandNE, NetMF, ProNE, STRAP.
 
-Each returns an :class:`~repro.embedding.Embedding`. The undirected-only
+Each is ``fn(g, k, *, seed)`` at the one setting its docstring names and
+returns an :class:`~repro.embedding.Embedding`. The undirected-only
 methods (AROPE, RandNE, NetMF, ProNE) symmetrize a directed input, exactly
 as the paper does when reporting them on directed graphs.
 """
@@ -13,6 +14,9 @@ from repro.graphs.edgelist import LocalGraph
 from repro.linalg.bksvd import bksvd_local
 from repro.ppr.exact import ppr_dense
 
+#: Krylov depth of every baseline's BKSVD (NRP derives its own from eps)
+BASELINE_Q = 6
+
 
 def _symmetrized(g: LocalGraph) -> LocalGraph:
     if not g.directed:
@@ -20,20 +24,24 @@ def _symmetrized(g: LocalGraph) -> LocalGraph:
     return LocalGraph.from_edges(g.edges, g.n, directed=False, name=g.name + "_sym")
 
 
-def arope(
-    g: LocalGraph,
-    k: int,
-    *,
-    order: int = 3,
-    beta: float = 0.1,
-    seed: int = 0,
-) -> Embedding:
+def _dense_bksvd(
+    M: np.ndarray, k: int, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """BKSVD of a dense n x n matrix (NetMF's and STRAP's proximity)."""
+    return bksvd_local(
+        lambda x: M @ x, lambda x: M.T @ x, M.shape[0], k, q=BASELINE_Q,
+        seed=seed,
+    )
+
+
+def arope(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """AROPE (Zhang et al., KDD'18): eigen-decompose the (symmetrized)
     adjacency once, then reweight eigenvalues with the arbitrary-order
-    polynomial F(lam) = sum_i beta^{i-1} lam^i to preserve
-    S = sum_i w_i A^i without materializing S."""
+    polynomial F(lam) = sum_{i<=3} 0.1^{i-1} lam^i (order 3, beta 0.1) to
+    preserve S = sum_i w_i A^i without materializing S."""
+    order, beta = 3, 0.1
     gs = _symmetrized(g)
-    U, _, _ = bksvd_local(gs.spmv, gs.spmv_t, gs.n, k, q=6, seed=seed)
+    U, _, _ = bksvd_local(gs.spmv, gs.spmv_t, gs.n, k, q=BASELINE_Q, seed=seed)
     # Ritz values give signed eigenvalues (bksvd's singular values lose sign)
     lam = np.einsum("ij,ij->j", U, gs.spmv(U))
     F = sum(beta ** (i - 1) * lam**i for i in range(1, order + 1))
@@ -43,39 +51,28 @@ def arope(
     return Embedding(X=X, Y=None, name="arope")
 
 
-def randne(
-    g: LocalGraph,
-    k: int,
-    *,
-    q: int = 3,
-    weights: tuple[float, ...] = (1.0, 1e2, 1e4, 1e5),
-    seed: int = 0,
-) -> Embedding:
+def randne(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """RandNE (Zhang et al., ICDM'18): iterated Gaussian random projection
-    U_i = P U_{i-1}; embedding = sum_i a_i U_i."""
+    U_i = P U_{i-1} for i <= 3; embedding = sum_i a_i U_i with
+    a = (1, 1e2, 1e4, 1e5)."""
     gs = _symmetrized(g)
     rng = np.random.default_rng(seed)
     U0 = rng.standard_normal((gs.n, k)) / np.sqrt(k)
     # orthogonalize the projection block (RandNE-II)
     Q, _ = np.linalg.qr(U0)
     blocks = [Q]
-    for _ in range(q):
+    for _ in range(3):
         blocks.append(gs.pmv(blocks[-1]))
-    X = sum(w * b for w, b in zip(weights, blocks))
+    X = sum(w * b for w, b in zip((1.0, 1e2, 1e4, 1e5), blocks))
     return Embedding(X=X, Y=None, name="randne")
 
 
-def netmf(
-    g: LocalGraph,
-    k: int,
-    *,
-    T: int = 10,
-    b: float = 1.0,
-    seed: int = 0,
-) -> Embedding:
+def netmf(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """NetMF (Qiu et al., WSDM'18): factorize the closed-form DeepWalk
-    matrix M = log max(1, vol/(bT) (sum_{r<=T} P^r) D^-1). Materializes a
-    dense n x n matrix — scale-capped (in the registry) like the paper's runs."""
+    matrix M = log max(1, vol/(bT) (sum_{r<=T} P^r) D^-1) at window T = 10
+    and b = 1 negative. Materializes a dense n x n matrix — scale-capped
+    (in the registry) like the paper's runs."""
+    T, b = 10, 1.0
     gs = _symmetrized(g)
     P = gs.transition()
     d = np.maximum(gs.d_out, 1.0)
@@ -86,28 +83,20 @@ def netmf(
         walk = walk @ P
         acc += walk
     M = np.log(np.maximum(vol / (b * T) * acc / d[None, :], 1.0))
-    U, s, V = bksvd_local(
-        lambda x: M @ x, lambda x: M.T @ x, gs.n, k, q=6, seed=seed
-    )
+    U, s, _ = _dense_bksvd(M, k, seed)
     return Embedding(X=U * np.sqrt(s)[None, :], Y=None, name="netmf")
 
 
-def prone(
-    g: LocalGraph,
-    k: int,
-    *,
-    order: int = 10,
-    mu: float = 0.2,
-    theta: float = 0.5,
-    seed: int = 0,
-) -> Embedding:
+def prone(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """ProNE (Zhang et al., IJCAI'19): truncated SVD of the normalized
     adjacency for the initial embedding, then the paper's modulated
-    Gaussian band-pass spectral propagation, applied via a Chebyshev
-    expansion of g(lam) = exp(-theta ((lam - mu)^2 - 1) / 2) on the
-    normalized Laplacian (coefficients by Gauss-Chebyshev quadrature —
-    the band-pass is tuned for classification, which is why ProNE trails
-    on link prediction in the paper)."""
+    Gaussian band-pass spectral propagation, applied via an order-10
+    Chebyshev expansion of g(lam) = exp(-theta ((lam - mu)^2 - 1) / 2),
+    mu = 0.2, theta = 0.5, on the normalized Laplacian (coefficients by
+    Gauss-Chebyshev quadrature — the band-pass is tuned for
+    classification, which is why ProNE trails on link prediction in the
+    paper)."""
+    order, mu, theta = 10, 0.2, 0.5
     gs = _symmetrized(g)
     d = np.maximum(gs.d_out, 1.0)
     dinv_sqrt = 1.0 / np.sqrt(d)
@@ -115,7 +104,7 @@ def prone(
     def a_sym(x):
         return dinv_sqrt[:, None] * gs.spmv(dinv_sqrt[:, None] * x)
 
-    U, s, V = bksvd_local(a_sym, a_sym, gs.n, k, q=6, seed=seed)
+    U, s, _ = bksvd_local(a_sym, a_sym, gs.n, k, q=BASELINE_Q, seed=seed)
     X = U * np.sqrt(s)[None, :]
     # Laplacian L = I - A_sym has spectrum in [0, 2]; rescale to
     # Lhat = L - I (spectrum [-1, 1]) for the Chebyshev recurrence
@@ -145,29 +134,20 @@ def prone(
     return Embedding(X=X_out, Y=None, name="prone")
 
 
-def strap(
-    g: LocalGraph,
-    k: int,
-    *,
-    alpha: float = 0.15,
-    delta: float = 1e-4,
-    iters: int = 20,
-    seed: int = 0,
-) -> Embedding:
+def strap(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """STRAP (Yin & Wei, KDD'19): factorize the transpose proximity matrix
-    M = Pi + Pi~^T, where Pi / Pi~ are delta-thresholded PPR matrices of G
-    and its transpose (entries <= delta/2 dropped, as in the paper)."""
-    k2 = max(k // 2, 1)
-    pi = ppr_dense(g, alpha, iters=iters)
-    pi[pi <= delta / 2.0] = 0.0
-    if g.directed:
-        pi_t = ppr_dense(g.transpose(), alpha, iters=iters)
-        pi_t[pi_t <= delta / 2.0] = 0.0
-    else:
-        pi_t = pi
-    M = pi + pi_t.T
-    U, s, V = bksvd_local(
-        lambda x: M @ x, lambda x: M.T @ x, g.n, k2, q=6, seed=seed
-    )
+    M = Pi + Pi~^T, where Pi / Pi~ are the PPR matrices of G and its
+    transpose at alpha = 0.15 (20 power steps), with entries <= delta/2
+    dropped at delta = 1e-4, as in the paper."""
+    alpha, delta, iters = 0.15, 1e-4, 20
+
+    def thresholded(h: LocalGraph) -> np.ndarray:
+        pi = ppr_dense(h, alpha, iters=iters)
+        pi[pi <= delta / 2.0] = 0.0
+        return pi
+
+    pi = thresholded(g)
+    pi_t = thresholded(g.transpose()) if g.directed else pi
+    U, s, V = _dense_bksvd(pi + pi_t.T, max(k // 2, 1), seed)
     root = np.sqrt(s)[None, :]
     return Embedding(X=U * root, Y=V * root, name="strap")

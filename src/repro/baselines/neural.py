@@ -12,16 +12,11 @@ from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
 
 
-def gae(
-    g: LocalGraph,
-    k: int,
-    *,
-    epochs: int = 120,
-    lr: float = 0.02,
-    seed: int = 0,
-) -> Embedding:
+def gae(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """Z = tanh(A_hat W); decoder sigmoid(Z Z^T) vs the (symmetrized)
-    adjacency, with class rebalancing for sparsity."""
+    adjacency, with class rebalancing for sparsity; 120 Adam steps at
+    learning rate 0.02."""
+    epochs, lr = 120, 0.02
     n = g.n
     A = _symmetrized(g).adjacency()
     d = A.sum(1) + 1.0

@@ -41,7 +41,7 @@ def _approxppr_embed(
 @dataclass(frozen=True)
 class Method:
     name: str
-    fn: Callable[..., Embedding]      # (graph, k, seed=, [spark=]) -> Embedding
+    fn: Callable[..., Embedding]      # (g, k, seed[, spark]) -> Embedding
     group: str                        # paper's category
     dual: bool                        # produces forward + backward vectors
     max_n: int | None = None          # scale cap (paper's 7-day analogue)

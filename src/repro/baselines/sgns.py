@@ -88,22 +88,20 @@ def sgns_train(
     n: int,
     dim: int,
     *,
-    epochs: int = 2,
-    negatives: int = 5,
-    lr: float = 0.025,
+    epochs: int,
     tie: bool = False,
     seed: int = 0,
-    batch: int = 1024,
-    max_norm: float = 3.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Train SGNS on positive (u, v) pairs. Returns (W, C): source and
-    context matrices; ``tie=True`` shares one matrix for both roles
-    (VERSE-style single embedding).
+    """Train SGNS on positive (u, v) pairs with 5 negatives per pair,
+    batches of 1024 and learning rate 0.025 decayed linearly. Returns
+    (W, C): source and context matrices; ``tie=True`` shares one matrix
+    for both roles (VERSE-style single embedding).
 
     Updates are accumulated per batch (np.add.at), so hub nodes can receive
-    many stale-gradient contributions at once; ``max_norm`` row clipping
+    many stale-gradient contributions at once; clipping rows to norm 3
     keeps that from diverging (the vectorized analogue of sequential SGD's
     self-limiting updates)."""
+    negatives, lr0, batch, max_norm = 5, 0.025, 1024, 3.0
     rng = np.random.default_rng(seed)
     W = (rng.random((n, dim)) - 0.5) / dim
     C = W if tie else (rng.random((n, dim)) - 0.5) / dim
@@ -113,7 +111,6 @@ def sgns_train(
     noise /= noise.sum()
     noise_cdf = np.cumsum(noise)
     total = len(pairs)
-    lr0 = lr
     for ep in range(epochs):
         lr = lr0 * (1.0 - 0.9 * ep / max(epochs, 1))  # linear decay
         order = rng.permutation(total)

@@ -1,4 +1,6 @@
-"""Random-walk SGNS baselines: DeepWalk, LINE, APP, VERSE."""
+"""Random-walk SGNS baselines: DeepWalk, LINE, APP, VERSE.
+
+Each is ``fn(g, k, *, seed)`` at the one setting its docstring names."""
 from __future__ import annotations
 
 import numpy as np
@@ -13,80 +15,50 @@ from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
 
 
-def deepwalk(
-    g: LocalGraph,
-    k: int,
-    *,
-    walks_per_node: int = 8,
-    walk_len: int = 30,
-    window: int = 5,
-    epochs: int = 3,
-    seed: int = 0,
-) -> Embedding:
-    """DeepWalk (Perozzi et al., KDD'14): truncated random walks + SGNS,
-    single vector per node."""
+def deepwalk(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
+    """DeepWalk (Perozzi et al., KDD'14): 8 truncated random walks of
+    length 30 per node, window 5, 3 SGNS epochs; single vector per node."""
     rng = np.random.default_rng(seed)
-    starts = np.repeat(np.arange(g.n), walks_per_node)
-    walks = random_walks(g, rng.permutation(starts), walk_len, rng)
-    pairs = window_pairs(walks, window)
-    W, _ = sgns_train(pairs, g.n, k, epochs=epochs, seed=seed)
+    starts = np.repeat(np.arange(g.n), 8)
+    walks = random_walks(g, rng.permutation(starts), 30, rng)
+    pairs = window_pairs(walks, 5)
+    W, _ = sgns_train(pairs, g.n, k, epochs=3, seed=seed)
     return Embedding(X=W, Y=None, name="deepwalk")
 
 
-def line(
-    g: LocalGraph,
-    k: int,
-    *,
-    samples_per_edge: int = 20,
-    epochs: int = 5,
-    seed: int = 0,
-) -> Embedding:
-    """LINE second-order (Tang et al., WWW'15): SGNS over direct arcs with
-    separate context vectors; the source matrix is the embedding."""
-    arcs = g.arcs
-    pairs = np.tile(arcs, (samples_per_edge, 1))
-    W, _ = sgns_train(pairs, g.n, k, epochs=epochs, seed=seed)
+def line(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
+    """LINE second-order (Tang et al., WWW'15): SGNS over direct arcs (20
+    samples per arc, 5 epochs) with separate context vectors; the source
+    matrix is the embedding."""
+    pairs = np.tile(g.arcs, (20, 1))
+    W, _ = sgns_train(pairs, g.n, k, epochs=5, seed=seed)
     return Embedding(X=W, Y=None, name="line")
 
 
-def app(
-    g: LocalGraph,
-    k: int,
-    *,
-    walks_per_node: int = 200,
-    alpha: float = 0.15,
-    max_len: int = 20,
-    epochs: int = 10,
-    seed: int = 0,
-) -> Embedding:
-    """APP (Zhou et al., AAAI'17): PPR-sampled (geometric-stop) pairs with
-    asymmetric source/context vectors — forward/backward like NRP, but
-    learned by SGD and without reweighting."""
-    k2 = max(k // 2, 1)
+def _ppr_sgns(
+    g: LocalGraph, dim: int, *, tie: bool, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The APP/VERSE body: SGNS for 10 epochs over 200 PPR-sampled pairs
+    per node, each the end of an alpha = 0.15 geometric-stop walk of at
+    most 20 steps."""
     rng = np.random.default_rng(seed)
     pairs = geometric_stop_pairs(
-        g, walks_per_node=walks_per_node, alpha=alpha, max_len=max_len, rng=rng
+        g, walks_per_node=200, alpha=0.15, max_len=20, rng=rng
     )
-    W, C = sgns_train(pairs, g.n, k2, epochs=epochs, seed=seed)
+    return sgns_train(pairs, g.n, dim, epochs=10, tie=tie, seed=seed)
+
+
+def app(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
+    """APP (Zhou et al., AAAI'17): PPR-sampled pairs with asymmetric
+    source/context vectors of k/2 columns each — forward/backward like
+    NRP, but learned by SGD and without reweighting."""
+    W, C = _ppr_sgns(g, max(k // 2, 1), tie=False, seed=seed)
     return Embedding(X=W, Y=C, name="app")
 
 
-def verse(
-    g: LocalGraph,
-    k: int,
-    *,
-    walks_per_node: int = 200,
-    alpha: float = 0.15,
-    max_len: int = 20,
-    epochs: int = 10,
-    seed: int = 0,
-) -> Embedding:
+def verse(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     """VERSE (Tsitsulin et al., WWW'18): PPR-similarity SGNS with a single
     tied embedding matrix — cannot represent edge direction (the paper's
     explanation for its directed-graph weakness)."""
-    rng = np.random.default_rng(seed)
-    pairs = geometric_stop_pairs(
-        g, walks_per_node=walks_per_node, alpha=alpha, max_len=max_len, rng=rng
-    )
-    W, _ = sgns_train(pairs, g.n, k, epochs=epochs, tie=True, seed=seed)
+    W, _ = _ppr_sgns(g, k, tie=True, seed=seed)
     return Embedding(X=W, Y=None, name="verse")

@@ -1,7 +1,9 @@
 """Regenerate results: ``python -m repro.experiments <run>... | all``.
 
 Each run writes ``results/<run>.csv`` and its ``results/MANIFEST.json``
-entry; a SparkSession is built only when a selected run takes one.
+entry. The runs that take no SparkSession go first, so none of them is
+timed beside a live session; the session is built when the first run that
+takes one starts.
 """
 import argparse
 
@@ -19,10 +21,10 @@ def main() -> None:
     names = p.parse_args().runs
     names = list(RUNS) if "all" in names else names
     spark = None
-    if any(RUNS[n].spark for n in names):
-        spark = build_session("repro-experiments")
     try:
-        for n in names:
+        for n in sorted(names, key=lambda n: RUNS[n].spark):
+            if RUNS[n].spark and spark is None:
+                spark = build_session("repro-experiments")
             run(n, spark)
     finally:
         if spark is not None:

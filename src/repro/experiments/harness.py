@@ -7,10 +7,10 @@ DataFrame. :data:`RUNS` names the one configuration behind each
 (``python -m repro.experiments``) and the benchmarks.
 
 Protocol notes (paper Section 5.2):
-* dual-vector methods (NRP, ApproxPPR, STRAP, APP, AROPE) score (u, v) as
+* dual-vector methods (NRP, ApproxPPR, STRAP, APP) score (u, v) as
   forward(u) . backward(v);
-* single-vector factorization methods (RandNE, ProNE, NetMF, GAE) use the
-  plain inner product;
+* single-vector factorization methods (AROPE, RandNE, ProNE, NetMF, GAE)
+  use the plain inner product;
 * single-vector SGNS methods (DeepWalk, LINE, VERSE) use the inner product
   on undirected graphs and the edge-features logistic regression on
   directed graphs, where the inner product cannot represent direction.

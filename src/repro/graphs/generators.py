@@ -20,6 +20,11 @@ import numpy as np
 
 from repro.graphs.edgelist import LocalGraph, canonical_edges
 
+#: Pareto exponent of the DC-SBM degree propensities
+GAMMA = 2.5
+#: Share of an evolving graph's new edges that close a wedge of the old one
+CLOSURE_FRAC = 0.7
+
 #: Reconstructed Fig. 1 edge set (1-indexed in the paper, 0-indexed here).
 #: Degree sequence [3,3,4,3,4,2,2,2,1] is forced by Example 2's initial
 #: forward weights; this wiring reproduces Table 1's v2/v4/v9 PPR rows
@@ -58,9 +63,9 @@ def erdos_renyi(
     return LocalGraph(e[:target], n, directed, name=name or f"er_{n}_{m}")
 
 
-def _powerlaw_propensity(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
-    """Unnormalized node degree propensities ~ Pareto(gamma)."""
-    theta = (1.0 - rng.random(n)) ** (-1.0 / (gamma - 1.0))
+def _powerlaw_propensity(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Unnormalized node degree propensities ~ Pareto(GAMMA)."""
+    theta = (1.0 - rng.random(n)) ** (-1.0 / (GAMMA - 1.0))
     return np.clip(theta, None, theta.mean() * 50)  # cap extreme hubs
 
 
@@ -71,7 +76,6 @@ def dcsbm(
     *,
     directed: bool = False,
     p_in: float = 0.8,
-    gamma: float = 2.5,
     closure: float = 0.0,
     seed: int = 0,
     name: str = "",
@@ -79,7 +83,7 @@ def dcsbm(
     """Degree-corrected SBM. Returns ``(graph, labels)``.
 
     A fraction ``p_in`` of edges are intra-community; endpoints are drawn
-    proportionally to power-law propensities (exponent ``gamma``).
+    proportionally to power-law propensities (exponent ``GAMMA``).
     Communities are equal-sized; ``labels[v]`` is v's community.
 
     Directed graphs draw *independent* out- and in-propensities per node,
@@ -93,8 +97,8 @@ def dcsbm(
     """
     rng = np.random.default_rng(seed)
     labels = np.arange(n) % n_comm
-    theta_out = _powerlaw_propensity(n, gamma, rng)
-    theta_in = _powerlaw_propensity(n, gamma, rng) if directed else theta_out
+    theta_out = _powerlaw_propensity(n, rng)
+    theta_in = _powerlaw_propensity(n, rng) if directed else theta_out
     comm_nodes = [np.where(labels == c)[0] for c in range(n_comm)]
     comm_p_in = []
     for c in range(n_comm):
@@ -171,13 +175,12 @@ def evolving_graph(
     n_comm: int,
     *,
     directed: bool = False,
-    closure_frac: float = 0.7,
     seed: int = 0,
     name: str = "",
 ) -> tuple[LocalGraph, np.ndarray]:
     """Temporal graph: an old snapshot plus future edges.
 
-    Returns ``(old_graph, new_edges)``. ``closure_frac`` of the new edges
+    Returns ``(old_graph, new_edges)``. ``CLOSURE_FRAC`` of the new edges
     close open wedges of the old snapshot (triadic closure — the growth
     mechanism of real social graphs), the rest follow the same DC-SBM model.
     """
@@ -198,7 +201,7 @@ def evolving_graph(
         return int(fresh.sum())
 
     n_have = 0
-    n_closure_target = int(m_new * closure_frac)
+    n_closure_target = int(m_new * CLOSURE_FRAC)
     guard = 0
     while n_have < n_closure_target and guard < 60:
         guard += 1

@@ -20,21 +20,16 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
+#: L2 weight, Adam step size, and the loss change (checked every 25 steps)
+#: below which training stops
+L2, LR, TOL = 1e-4, 0.1, 1e-7
+
+
 class LogisticRegression:
     """One-vs-rest logistic regression with bias, L2, full-batch Adam."""
 
-    def __init__(
-        self,
-        *,
-        l2: float = 1e-4,
-        lr: float = 0.1,
-        epochs: int = 300,
-        tol: float = 1e-7,
-    ):
-        self.l2 = l2
-        self.lr = lr
+    def __init__(self, *, epochs: int = 300):
         self.epochs = epochs
-        self.tol = tol
         self.W: np.ndarray | None = None  # (d+1, C), last row = bias
 
     def fit(self, X: np.ndarray, Y: np.ndarray) -> "LogisticRegression":
@@ -57,19 +52,19 @@ class LogisticRegression:
         for t in range(1, self.epochs + 1):
             P = _sigmoid(Xb @ W)
             G = Xb.T @ (P - Yh) / n
-            G[:-1] += self.l2 * W[:-1]
+            G[:-1] += L2 * W[:-1]
             m = b1 * m + (1 - b1) * G
             v = b2 * v + (1 - b2) * G * G
             mh = m / (1 - b1**t)
             vh = v / (1 - b2**t)
-            W -= self.lr * mh / (np.sqrt(vh) + eps)
+            W -= LR * mh / (np.sqrt(vh) + eps)
             if t % 25 == 0:
                 loss = float(
                     -np.mean(
                         Yh * np.log(P + 1e-12) + (1 - Yh) * np.log(1 - P + 1e-12)
                     )
                 )
-                if abs(prev - loss) < self.tol:
+                if abs(prev - loss) < TOL:
                     break
                 prev = loss
         self.W = W

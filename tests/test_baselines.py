@@ -1,5 +1,7 @@
 """Baseline methods: shapes, determinism, scale caps, and basic utility
 (every method must beat chance at link prediction on an easy graph)."""
+import inspect
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,14 @@ def test_scale_caps_enforced(name, cap):
     g = erdos_renyi(cap + 10, cap * 2, seed=0)
     with pytest.raises(ValueError):
         get_method(name).embed(g, k=8)
+
+
+def test_every_method_is_a_function_of_graph_k_seed():
+    """Each method runs at the one setting its code names: it takes the
+    graph, k and the seed, plus the session if it can run on Spark."""
+    for name, m in METHODS.items():
+        params = list(inspect.signature(m.fn).parameters)
+        assert params == ["g", "k", "seed"] + ["spark"] * m.spark_capable, name
 
 
 def test_registry_groups_cover_paper_categories():

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from repro.experiments import harness as H
 
@@ -37,6 +38,35 @@ def test_cli_help_lists_every_run():
     assert out.returncode == 0, out.stderr
     for name in [*H.RUNS, "all"]:
         assert name in out.stdout
+
+
+def test_cli_times_sessionless_runs_before_building_the_session(
+    monkeypatch,
+):
+    """`all` runs every run that takes no SparkSession first, then builds
+    one session for the first run that takes it, so a timed run never
+    shares its process with a live session."""
+    import repro.experiments.__main__ as cli
+
+    events = []
+    session = SimpleNamespace(stop=lambda: events.append("stop"))
+
+    def build_session(app):
+        events.append("session")
+        return session
+
+    monkeypatch.setattr(cli, "build_session", build_session)
+    monkeypatch.setattr(
+        cli, "run", lambda name, spark: events.append((name, spark))
+    )
+    monkeypatch.setattr(sys, "argv", ["repro.experiments", "all"])
+    cli.main()
+    assert events == [
+        *((n, None) for n, r in H.RUNS.items() if not r.spark),
+        "session",
+        *((n, session) for n, r in H.RUNS.items() if r.spark),
+        "stop",
+    ]
 
 
 def test_run_writes_csv_and_manifest_entry(tmp_path, monkeypatch):

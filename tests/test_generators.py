@@ -81,7 +81,7 @@ def test_evolving_graph_new_edges_fresh():
 
 def test_evolving_closure_bias():
     # a majority of new undirected edges should close a wedge of E_old
-    g_old, new = evolving_graph(200, 1500, 300, 3, seed=9, closure_frac=0.7)
+    g_old, new = evolving_graph(200, 1500, 300, 3, seed=9)
     A = g_old.adjacency()
     A2 = A @ A
     closes = A2[new[:, 0], new[:, 1]] > 0
