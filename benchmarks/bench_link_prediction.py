@@ -1,16 +1,14 @@
 """Bench for paper Fig. 4: link-prediction AUC.
 
 wiki_lite / blogcatalog_lite run the full method roster (k sweep on wiki);
-tweibo_lite runs the scalable subset. NRP and ApproxPPR embed on the
-session SparkSession in the small run.
+tweibo_lite runs the scalable subset. Every method embeds locally.
 """
 from repro.experiments.harness import run
 
 
-def test_fig4_link_prediction_small(benchmark, spark):
+def test_fig4_link_prediction_small(benchmark):
     df = benchmark.pedantic(
-        lambda: run("fig4_link_prediction_small", spark),
-        rounds=1, iterations=1,
+        lambda: run("fig4_link_prediction_small"), rounds=1, iterations=1
     )
     ok = df.dropna(subset=["auc"])
     # headline shape: NRP beats its own unweighted baseline on every dataset

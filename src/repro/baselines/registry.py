@@ -4,9 +4,7 @@ scale caps mirroring the paper's 7-day cutoff, category)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
-from pyspark.sql import SparkSession
+from typing import Callable
 
 from repro.baselines.factorization import arope, netmf, prone, randne, strap
 from repro.baselines.neural import gae
@@ -17,62 +15,43 @@ from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
 
 
-def _nrp_embed(
-    g: LocalGraph, k: int, seed: int, spark: Optional[SparkSession] = None
-) -> Embedding:
-    backend = "spark" if spark is not None else "local"
+def _nrp_embed(g: LocalGraph, k: int, *, seed: int) -> Embedding:
     # lam=1 is the lite-scale analogue of the paper's lam=10: the
     # regularizer must stay small against degree-residual terms that are
     # ~2 orders of magnitude smaller on graphs 40-1000x below paper scale
-    res = nrp(g, k, lam=1.0, seed=seed, backend=backend, spark=spark)
+    res = nrp(g, k, lam=1.0, seed=seed)
     return Embedding(X=res.X, Y=res.Y, name="nrp")
 
 
-def _approxppr_embed(
-    g: LocalGraph, k: int, seed: int, spark: Optional[SparkSession] = None
-) -> Embedding:
-    backend = "spark" if spark is not None else "local"
-    X, Y = approxppr(
-        g, max(k // 2, 1), seed=seed, backend=backend, spark=spark
-    )
+def _approxppr_embed(g: LocalGraph, k: int, *, seed: int) -> Embedding:
+    X, Y = approxppr(g, max(k // 2, 1), seed=seed)
     return Embedding(X=X, Y=Y, name="approxppr")
 
 
 @dataclass(frozen=True)
 class Method:
     name: str
-    fn: Callable[..., Embedding]      # (g, k, seed[, spark]) -> Embedding
+    fn: Callable[..., Embedding]      # (g, k, *, seed) -> Embedding
     group: str                        # paper's category
     dual: bool                        # produces forward + backward vectors
     max_n: int | None = None          # scale cap (paper's 7-day analogue)
-    spark_capable: bool = False       # accepts spark= for distributed phase
 
     def fits(self, g: LocalGraph) -> bool:
         """Whether ``g`` is within the scale cap; the harness reports the
         graphs that are not as excluded rows."""
         return self.max_n is None or g.n <= self.max_n
 
-    def embed(
-        self,
-        g: LocalGraph,
-        k: int,
-        seed: int = 0,
-        spark: Optional[SparkSession] = None,
-    ) -> Embedding:
+    def embed(self, g: LocalGraph, k: int, seed: int = 0) -> Embedding:
         if not self.fits(g):
             raise ValueError(
                 f"{self.name} capped at n <= {self.max_n} (got {g.n})"
             )
-        if self.spark_capable:
-            return self.fn(g, k, seed, spark=spark)
         return self.fn(g, k, seed=seed)
 
 
 METHODS: dict[str, Method] = {
-    "nrp": Method("nrp", _nrp_embed, "ours", True, None, True),
-    "approxppr": Method(
-        "approxppr", _approxppr_embed, "ours", True, None, True
-    ),
+    "nrp": Method("nrp", _nrp_embed, "ours", True, None),
+    "approxppr": Method("approxppr", _approxppr_embed, "ours", True, None),
     "strap": Method("strap", strap, "factorization", True, 6000),
     "arope": Method("arope", arope, "factorization", False, None),
     "randne": Method("randne", randne, "factorization", False, None),

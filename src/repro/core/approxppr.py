@@ -13,12 +13,14 @@ picks the provider. ``local`` uses the :class:`LocalGraph` itself (numpy
 CSR products); ``spark`` uses a :class:`SparkGraph`, which broadcasts the
 graph once and runs each column-separable chain as one Spark job over
 column slices of X. Every column of X evolves on its own in lines 3-5, so
-the whole loop is one such chain. Both providers return the same bits, so
-both backends return the same X and Y, as numpy (n, k') matrices — the
-embedding is the output artifact and is driver-sized by construction
-(O(n k') is the paper's own space budget for the result).
+the whole loop, :func:`ppr_loop`, is one such chain. Both providers return
+the same bits, so both backends return the same X and Y, as numpy (n, k')
+matrices — the embedding is the output artifact and is driver-sized by
+construction (O(n k') is the paper's own space budget for the result).
 """
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 from pyspark.sql import SparkSession
@@ -27,35 +29,22 @@ from repro.graphs.edgelist import LocalGraph, SparkGraph
 from repro.linalg.bksvd import bksvd_local, bksvd_spark
 
 
-def make_ppr_loop(alpha: float, l1: int):
-    """Lines 3-5 as a column-separable function ``ppr_loop(ops, X_1)``.
-
-    Built inside a function so that cloudpickle ships it to Spark workers
-    by value; it may reference numpy only (see repro.graphs.edgelist)."""
-
-    def ppr_loop(ops, X1: np.ndarray) -> np.ndarray:
-        X = X1
-        for _ in range(2, l1 + 1):
-            X = (1.0 - alpha) * ops.pmv(X) + X1
-        return alpha * (1.0 - alpha) * X
-
-    return ppr_loop
+def ppr_loop(ops, X1: np.ndarray, alpha: float, l1: int) -> np.ndarray:
+    """Lines 3-5 as a column-separable function of ``X_1``."""
+    X = X1
+    for _ in range(2, l1 + 1):
+        X = (1.0 - alpha) * ops.pmv(X) + X1
+    return alpha * (1.0 - alpha) * X
 
 
-def make_ppr_cols(alpha: float, iters: int):
-    """``ppr_cols(ops, E) = Pi E`` for the full PPR matrix Pi (Eq. 1)
-    summed over orders 0..iters: the zero-hop ``alpha E`` plus the
-    :func:`make_ppr_loop` chain (orders 1..iters) run on ``X_1 = P E``.
+def ppr_cols(ops, E: np.ndarray, alpha: float, iters: int) -> np.ndarray:
+    """``Pi E`` for the full PPR matrix Pi (Eq. 1) summed over orders
+    0..iters: the zero-hop ``alpha E`` plus the :func:`ppr_loop` chain
+    (orders 1..iters) run on ``X_1 = P E``.
 
     With ``E`` the identity this is all of Pi, so it is for small graphs
-    only, like :func:`repro.ppr.exact.ppr_dense`. Built inside a function
-    for the reason given in :func:`make_ppr_loop`."""
-    ppr_loop = make_ppr_loop(alpha, iters)
-
-    def ppr_cols(ops, E: np.ndarray) -> np.ndarray:
-        return alpha * E + ppr_loop(ops, ops.pmv(E))
-
-    return ppr_cols
+    only, like :func:`repro.ppr.exact.ppr_dense`."""
+    return alpha * E + ppr_loop(ops, ops.pmv(E), alpha, iters)
 
 
 def _power(
@@ -74,7 +63,7 @@ def _power(
     dinv = np.where(d > 0, 1.0 / np.maximum(d, 1.0), 0.0)
     X1 = dinv[:, None] * U * root[None, :]
     Y = V * root[None, :]
-    return provider.columns(make_ppr_loop(alpha, l1), X1), Y
+    return provider.columns(partial(ppr_loop, alpha=alpha, l1=l1), X1), Y
 
 
 def approxppr(

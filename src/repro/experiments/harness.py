@@ -30,7 +30,7 @@ import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.baselines.registry import Method, get_method
-from repro.core.approxppr import make_ppr_cols
+from repro.core.approxppr import ppr_cols
 from repro.core.nrp import nrp
 from repro.embedding import Embedding
 from repro.experiments.datasets import (
@@ -96,7 +96,9 @@ def table1_ppr(spark: SparkSession | None = None) -> pd.DataFrame:
     if spark is not None:
         sg = SparkGraph(spark, g)
         try:
-            spark_pi = sg.columns(make_ppr_cols(0.15, 60), np.eye(g.n))
+            spark_pi = sg.columns(
+                partial(ppr_cols, alpha=0.15, iters=60), np.eye(g.n)
+            )
         finally:
             sg.unpersist()
     rows = []
@@ -170,18 +172,15 @@ def link_prediction_table(
     datasets: list[str],
     methods: list[str],
     ks: list[int],
-    *,
-    spark: SparkSession | None = None,
 ) -> pd.DataFrame:
-    """Fig. 4: link-prediction AUC vs embedding dimensionality k. With
-    ``spark``, the Spark-capable methods (NRP, ApproxPPR) embed on it."""
+    """Fig. 4: link-prediction AUC vs embedding dimensionality k."""
     def setup(ds):
         g = load_dataset(ds).graph
         split = link_prediction_split(g, frac=0.3)
 
         def score(m):
             for k in ks:
-                emb = m.embed(split.train, k, spark=spark)
+                emb = m.embed(split.train, k)
                 auc = link_prediction_auc(
                     emb, split, protocol=protocol_for(m, g)
                 )
@@ -441,7 +440,7 @@ RUNS: dict[str, Run] = {
     "fig4_link_prediction_small": Run(partial(
         link_prediction_table, ["wiki_lite", "blogcatalog_lite"],
         ALL_METHODS, [32],
-    ), spark=True),
+    )),
     "fig4_link_prediction_k_sweep": Run(partial(
         link_prediction_table, ["wiki_lite"],
         ["nrp", "approxppr", "arope", "prone"], [16, 32, 64],

@@ -17,10 +17,10 @@ Both graphs are *product providers*: ``columns(fn, X)`` runs
 their products through one kernel, :func:`jds_product`, over the
 jagged-diagonal plans :func:`jds_plan` builds once per direction from the
 CSR arrays. Every column of the result depends only on the same column of
-X, so ``fn`` may run on any split of X's columns. A function shipped to
-Spark must reference numpy only (workers cannot import ``repro``), so each
-is built inside a factory function, which makes cloudpickle ship it by
-value.
+X, so ``fn`` may run on any split of X's columns. ``fn`` is a plain
+function, or a ``functools.partial`` of one that binds its parameters.
+This module is the one place that decides how code reaches the Spark
+workers: it has cloudpickle ship all of ``repro`` by value.
 
 Conventions
 -----------
@@ -37,7 +37,15 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from pyspark import cloudpickle
 from pyspark.sql import SparkSession
+
+import repro
+
+# Spark workers may not have ``src`` on their path (``nrpbench/run.py``
+# runs them without it), so the functions a job ships, and the ``repro``
+# code they call, travel by value instead of as an import by name.
+cloudpickle.register_pickle_by_value(repro)
 
 
 def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
@@ -57,44 +65,31 @@ def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
     return e[np.sort(idx)]
 
 
-def _make_jds_product():
-    # Built inside a function so that cloudpickle ships it to Spark workers
-    # by value: a module-level function is pickled by reference, and the
-    # workers cannot import ``repro``. It may therefore reference numpy only.
+def jds_product(X: np.ndarray, plan: tuple) -> np.ndarray:
+    """``A @ X`` for the A of a :func:`jds_plan`, one row block at a time.
 
-    def jds_product(X: np.ndarray, plan: tuple) -> np.ndarray:
-        """``A @ X`` for the A of a :func:`jds_plan`, one row block at a
-        time.
+    A block's sums (its rows in the plan's order) start at zero. Diagonal j
+    adds X at the j-th arc of each of its rows, so every row sums its first
+    arcs in arc order. A row longer than the last diagonal then adds the
+    ``np.add.reduceat`` sum of its remaining arcs: per column, the first of
+    them plus numpy's pairwise sum of the rest. Every step works on each
+    column of X on its own, so a column of the result does not depend on
+    the others. The gathers are ``X.take(..., axis=0)``: the values of the
+    fancy index ``X[...]``, about twice as fast.
+    """
+    n, blocks = plan
+    out = np.zeros((n, X.shape[1]))
+    for rows, idx, bounds, tail_idx, tail_starts in blocks:
+        acc = np.zeros((rows.size, X.shape[1]))
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            acc[: b - a] += X.take(idx[a:b], axis=0)
+        if tail_starts.size:
+            acc[: tail_starts.size] += np.add.reduceat(
+                X.take(tail_idx, axis=0), tail_starts, axis=0
+            )
+        out[rows] = acc
+    return out
 
-        A block's sums (its rows in the plan's order) start at zero.
-        Diagonal j adds X at the j-th arc of each of its rows, so every row
-        sums its first arcs in arc order. A row longer than the last
-        diagonal then adds the ``np.add.reduceat`` sum of its remaining
-        arcs: per column, the first of them plus numpy's pairwise sum of
-        the rest. Every step works on each column of X on its own, so a
-        column of the result does not depend on the others. The gathers
-        are ``X.take(..., axis=0)``: the values of the fancy index
-        ``X[...]``, about twice as fast.
-        """
-        n, blocks = plan
-        out = np.zeros((n, X.shape[1]))
-        for rows, idx, bounds, tail_idx, tail_starts in blocks:
-            acc = np.zeros((rows.size, X.shape[1]))
-            for a, b in zip(bounds[:-1], bounds[1:]):
-                acc[: b - a] += X.take(idx[a:b], axis=0)
-            if tail_starts.size:
-                acc[: tail_starts.size] += np.add.reduceat(
-                    X.take(tail_idx, axis=0), tail_starts, axis=0
-                )
-            out[rows] = acc
-        return out
-
-    return jds_product
-
-
-#: The one sparse product kernel, shared by ``LocalGraph`` and the Spark
-#: tasks of ``SparkGraph``.
-jds_product = _make_jds_product()
 
 #: rows per plan block: a block's sums at width 16 are 512 KB, which stay
 #: in L2 while every diagonal adds into them
@@ -152,30 +147,22 @@ def jds_plan(indptr: np.ndarray, indices: np.ndarray) -> tuple:
     return n, blocks
 
 
-def _make_csr_products():
-    # Built inside a function for the reason given in _make_jds_product:
-    # every Spark task builds one from the graph broadcast.
-    class CSRProducts:
-        """The unweighted ``LocalGraph`` products over fixed jagged-diagonal
-        plans of A and A^T; the ``ops`` a column-separable function gets in
-        a Spark task."""
+class CSRProducts:
+    """The unweighted ``LocalGraph`` products over fixed jagged-diagonal
+    plans of A and A^T; the ``ops`` a column-separable function gets in a
+    Spark task, which builds one from the graph broadcast."""
 
-        def __init__(self, plan, plan_t, divisor):
-            self.plan, self.plan_t, self.divisor = plan, plan_t, divisor
+    def __init__(self, plan, plan_t, divisor):
+        self.plan, self.plan_t, self.divisor = plan, plan_t, divisor
 
-        def spmv(self, X: np.ndarray) -> np.ndarray:
-            return jds_product(X, self.plan)
+    def spmv(self, X: np.ndarray) -> np.ndarray:
+        return jds_product(X, self.plan)
 
-        def spmv_t(self, X: np.ndarray) -> np.ndarray:
-            return jds_product(X, self.plan_t)
+    def spmv_t(self, X: np.ndarray) -> np.ndarray:
+        return jds_product(X, self.plan_t)
 
-        def pmv(self, X: np.ndarray) -> np.ndarray:
-            return self.spmv(X) / self.divisor
-
-    return CSRProducts
-
-
-CSRProducts = _make_csr_products()
+    def pmv(self, X: np.ndarray) -> np.ndarray:
+        return self.spmv(X) / self.divisor
 
 
 def _csr(
@@ -268,10 +255,7 @@ class LocalGraph:
 
     def transition(self) -> np.ndarray:
         """Dense row-stochastic transition matrix; dangling rows are zero."""
-        A = self.adjacency()
-        d = self.d_out.copy()
-        d[d == 0] = 1.0
-        return A / d[:, None]
+        return self.adjacency() / _row_divisor(self.d_out)
 
     def spmv(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` without materializing A:

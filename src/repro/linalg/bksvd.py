@@ -6,8 +6,8 @@ touched only through a product provider's ``columns`` (see
 :mod:`repro.graphs.edgelist`), so one algorithm serves both backends:
 :func:`bksvd_local` runs it over two in-process matvecs, :func:`bksvd_spark`
 over a :class:`~repro.graphs.edgelist.SparkGraph`, where the whole Krylov
-chain is one Spark job over column slices of Omega. Only small algebra on
-k-sized blocks stays on the driver.
+chain, :func:`krylov_chain`, is one Spark job over column slices of Omega.
+Only small algebra on k-sized blocks stays on the driver.
 
 Algorithm (square A, n x n): draw Gaussian Omega (n x k); build the Krylov
 block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om], each column scaled to
@@ -23,6 +23,7 @@ columns and a ``RuntimeWarning`` names the kept rank.
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,33 +67,29 @@ def _final_svd(RtR: np.ndarray, k: int):
     return W2, sig, W2 * inv[None, :]
 
 
-def _make_krylov_chain(q: int):
-    # Built inside a function so that cloudpickle ships it to Spark workers
-    # by value; it may reference numpy only (see repro.graphs.edgelist).
+def _unit(b: np.ndarray) -> np.ndarray:
+    """``b`` with each column scaled to unit norm; zero columns stay zero.
 
-    def unit(b: np.ndarray) -> np.ndarray:
-        # each column's norm is a sum over a contiguous row of b^T, which
-        # gives the same bits at every slice width (a norm along axis 0
-        # of b does not); zero columns stay zero
-        s = np.sqrt(np.square(np.ascontiguousarray(b.T)).sum(axis=1))
-        return b / np.where(s > 0, s, 1.0)
+    Each column's norm is a sum over a contiguous row of b^T, which gives
+    the same bits at every slice width (a norm along axis 0 of b does not).
+    """
+    s = np.sqrt(np.square(np.ascontiguousarray(b.T)).sum(axis=1))
+    return b / np.where(s > 0, s, 1.0)
 
-    def krylov_chain(ops, omega: np.ndarray) -> np.ndarray:
-        """The Krylov blocks and their A^T products, column by column:
-        ``out[:, i] = b_i`` and ``out[:, q + 1 + i] = A^T b_i`` for
-        i = 0..q, with ``b_0 = unit(A omega)`` and
-        ``b_{i+1} = unit(A A^T b_i)``."""
-        n, w = omega.shape
-        out = np.empty((n, 2 * (q + 1), w))
-        b = unit(ops.spmv(omega))
-        for i in range(q + 1):
-            out[:, i] = b
-            out[:, q + 1 + i] = t = ops.spmv_t(b)
-            if i < q:
-                b = unit(ops.spmv(t))
-        return out
 
-    return krylov_chain
+def krylov_chain(ops, omega: np.ndarray, q: int) -> np.ndarray:
+    """The Krylov blocks and their A^T products, column by column:
+    ``out[:, i] = b_i`` and ``out[:, q + 1 + i] = A^T b_i`` for i = 0..q,
+    with ``b_0 = unit(A omega)`` and ``b_{i+1} = unit(A A^T b_i)``."""
+    n, w = omega.shape
+    out = np.empty((n, 2 * (q + 1), w))
+    b = _unit(ops.spmv(omega))
+    for i in range(q + 1):
+        out[:, i] = b
+        out[:, q + 1 + i] = t = ops.spmv_t(b)
+        if i < q:
+            b = _unit(ops.spmv(t))
+    return out
 
 
 class _Matvecs(NamedTuple):
@@ -114,7 +111,7 @@ def _bksvd(
     omega = rng.standard_normal((n, k))
     # (n, 2(q + 1), k) with k as the last axis, so this reshape is free and
     # gives the columns [b_0 ... b_q | A^T b_0 ... A^T b_q]
-    Z = g.columns(_make_krylov_chain(q), omega).reshape(n, -1)
+    Z = g.columns(partial(krylov_chain, q=q), omega).reshape(n, -1)
     K, T = np.hsplit(Z, 2)
     # Q = K W is orthonormal and A^T Q = T W, so neither is formed
     W, _ = _whiten(K.T @ K)

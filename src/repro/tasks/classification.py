@@ -19,12 +19,12 @@ def node_classification_f1(
     labels: np.ndarray,
     *,
     train_ratio: float = 0.5,
-    seed: int = 0,
 ) -> tuple[float, float]:
-    """(micro_f1, macro_f1) at the given train ratio."""
+    """(micro_f1, macro_f1) at the given train ratio, on a split drawn
+    with seed 0."""
     feats = emb.features()
     n = len(labels)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     perm = rng.permutation(n)
     n_train = max(int(round(n * train_ratio)), 1)
     tr, te = perm[:n_train], perm[n_train:]

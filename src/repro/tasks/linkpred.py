@@ -27,11 +27,10 @@ def edge_feature_scores(
     test_pairs: np.ndarray,
     *,
     n_train: int,
-    seed: int = 0,
 ) -> np.ndarray:
     """Paper's edge-features protocol: logistic regression over
-    concatenated endpoint vectors."""
-    rng = np.random.default_rng(seed)
+    concatenated endpoint vectors, on training pairs drawn with seed 0."""
+    rng = np.random.default_rng(0)
     n_pos = n_train // 2
     m = train_graph.m
     idx = rng.integers(0, m, n_pos)
@@ -52,7 +51,6 @@ def link_prediction_auc(
     split: LinkSplit,
     *,
     protocol: str = "inner",
-    seed: int = 0,
 ) -> float:
     """AUC of the embedding on a link split. ``protocol``: "inner" or
     "edge_features" (the paper's choice depends on the method — see
@@ -61,11 +59,7 @@ def link_prediction_auc(
         scores = emb.score_pairs(split.test_pairs)
     elif protocol == "edge_features":
         scores = edge_feature_scores(
-            emb,
-            split.train,
-            split.test_pairs,
-            n_train=len(split.test_labels),
-            seed=seed,
+            emb, split.train, split.test_pairs, n_train=len(split.test_labels)
         )
     else:
         raise ValueError(f"unknown protocol {protocol!r}")

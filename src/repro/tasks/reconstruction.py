@@ -16,18 +16,19 @@ from repro.graphs.edgelist import LocalGraph
 from repro.tasks.metrics import precision_at_k
 from repro.tasks.split import sample_distinct_pairs
 
+#: rows of the all-pairs score matrix scored at once
+TOPK_BLOCK_ROWS = 1024
 
-def topk_pairs_numpy(
-    emb: Embedding, g: LocalGraph, k: int, *, block: int = 1024
-) -> np.ndarray:
+
+def topk_pairs_numpy(emb: Embedding, g: LocalGraph, k: int) -> np.ndarray:
     """Top-k scored pairs over all candidate pairs: ordered (u != v) for
     directed graphs, u < v otherwise. Returns (k, 2) int array, ranked."""
     n = g.n
     X, R = emb.X, emb.right
     best_s: list[np.ndarray] = []
     best_p: list[np.ndarray] = []
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, TOPK_BLOCK_ROWS):
+        hi = min(lo + TOPK_BLOCK_ROWS, n)
         S = X[lo:hi] @ R.T
         rows = np.arange(lo, hi)
         S[np.arange(hi - lo), rows] = -np.inf  # no self pairs
@@ -54,17 +55,16 @@ def reconstruction_precision(
     ks: list[int],
     *,
     sample: int | None = None,
-    seed: int = 0,
 ) -> dict[int, float]:
     """precision@K for each K in ``ks``. ``sample``: number of candidate
-    pairs to draw (None = all pairs)."""
+    pairs to draw with seed 0 (None = all pairs)."""
     keys = g.edge_key_set()
     kmax = max(ks)
     if sample is None:
         top = topk_pairs_numpy(emb, g, kmax)
     else:
         # the paper's 1%-of-all-pairs protocol: edges stay candidates
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         cand = sample_distinct_pairs(g, sample, rng, frozenset())
         scores = emb.score_pairs(cand)
         order = np.argsort(-scores, kind="stable")[:kmax]

@@ -65,10 +65,10 @@ def test_scale_caps_enforced(name, cap):
 
 def test_every_method_is_a_function_of_graph_k_seed():
     """Each method runs at the one setting its code names: it takes the
-    graph, k and the seed, plus the session if it can run on Spark."""
+    graph, k and the seed, and nothing else."""
     for name, m in METHODS.items():
         params = list(inspect.signature(m.fn).parameters)
-        assert params == ["g", "k", "seed"] + ["spark"] * m.spark_capable, name
+        assert params == ["g", "k", "seed"], name
 
 
 def test_registry_groups_cover_paper_categories():

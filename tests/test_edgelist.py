@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from pyspark import RDD, cloudpickle
 from pyspark.core.broadcast import Broadcast
 
-from repro.core.approxppr import approxppr, make_ppr_cols, make_ppr_loop
+from repro.core.approxppr import approxppr, ppr_cols, ppr_loop
 from repro.graphs.edgelist import (
     JDS_BLOCK_ROWS,
     JDS_MIN_DIAG_ROWS,
@@ -23,7 +24,7 @@ from repro.graphs.edgelist import (
     jds_product,
 )
 from repro.graphs.generators import erdos_renyi, example_graph
-from repro.linalg.bksvd import _make_krylov_chain
+from repro.linalg.bksvd import krylov_chain
 from tests.toy_graphs import directed_cycle, ring, star
 
 
@@ -292,9 +293,9 @@ def test_spark_matvecs_bit_identical(spark, k):
     # not depend on the slice width.
     rng = np.random.default_rng(k)
     chains = {
-        "krylov": _make_krylov_chain(2),
-        "ppr": make_ppr_loop(0.15, 20),
-        "ppr_cols": make_ppr_cols(0.15, 20),
+        "krylov": partial(krylov_chain, q=2),
+        "ppr": partial(ppr_loop, alpha=0.15, l1=20),
+        "ppr_cols": partial(ppr_cols, alpha=0.15, iters=20),
     }
     for g in (_star_with_isolated(), erdos_renyi(50, 300, directed=True, seed=1)):
         sg = SparkGraph(spark, g)
@@ -367,9 +368,11 @@ def test_spark_matvec_ships_without_repro(spark, monkeypatch, tmp_path):
     X = np.random.default_rng(0).standard_normal((g.n, 5))
     sg.columns(CSRProducts.spmv, X)
     sg.unpersist()
-    # the last job of an embed is the PPR loop (paper Alg. 1 lines 3-5)
+    # an embed ships two jobs: the Krylov chain (paper Alg. 1 line 1) and
+    # the PPR loop (lines 3-5); approxppr draws omega from its seed, 0
     approxppr(g, 5, l1=4, q=1, backend="spark", spark=spark)
-    del shipped[1:-1]
+    assert len(shipped) == 3
+    omega = np.random.default_rng(0).standard_normal((g.n, 5))
     X_ppr, _ = approxppr(g, 5, l1=4, q=1)
     with open(tmp_path / "in.pkl", "wb") as f:
         pickle.dump(shipped, f)
@@ -379,7 +382,10 @@ def test_spark_matvec_ships_without_repro(spark, monkeypatch, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    product, ppr = np.load(tmp_path / "out.npz").values()
+    product, krylov, ppr = np.load(tmp_path / "out.npz").values()
     assert 0 < product.shape[1] < X.shape[1]
     assert np.array_equal(product, g.spmv(X[:, : product.shape[1]]))
+    w = krylov.shape[-1]
+    assert 0 < w < omega.shape[1]
+    assert np.array_equal(krylov, krylov_chain(g, omega, 1)[..., :w])
     assert np.array_equal(ppr, X_ppr[:, : ppr.shape[1]])

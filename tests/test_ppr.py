@@ -1,9 +1,11 @@
 """PPR: dense oracle properties, the paper's Table 1, and the Spark PPR
 matrix (one column job) against the oracle."""
+from functools import partial
+
 import numpy as np
 import pytest
 
-from repro.core.approxppr import make_ppr_cols
+from repro.core.approxppr import ppr_cols
 from repro.graphs.edgelist import LocalGraph, SparkGraph
 from repro.graphs.generators import erdos_renyi, example_graph
 from repro.ppr.exact import ppr_dense, ppr_truncated
@@ -83,6 +85,6 @@ def test_ppr_truncated_excludes_zero_hop():
 def test_spark_ppr_matches_dense(spark, alpha):
     g = erdos_renyi(25, 70, seed=6)
     sg = SparkGraph(spark, g)
-    got = sg.columns(make_ppr_cols(alpha, 40), np.eye(g.n))
+    got = sg.columns(partial(ppr_cols, alpha=alpha, iters=40), np.eye(g.n))
     sg.unpersist()
     np.testing.assert_allclose(got, ppr_dense(g, alpha=alpha, iters=41), atol=1e-6)

@@ -38,7 +38,7 @@ def test_linkpred_edge_features_protocol(bundle):
     g, _ = bundle
     sp = link_prediction_split(g, seed=3)
     emb = get_method("verse").embed(sp.train, k=16, seed=0)
-    auc = link_prediction_auc(emb, sp, protocol="edge_features", seed=0)
+    auc = link_prediction_auc(emb, sp, protocol="edge_features")
     assert auc > 0.6
 
 
@@ -46,7 +46,7 @@ def test_edge_feature_scores_shape(bundle):
     g, _ = bundle
     sp = link_prediction_split(g, seed=4)
     emb = Embedding(X=np.random.default_rng(0).normal(size=(g.n, 8)))
-    s = edge_feature_scores(emb, sp.train, sp.test_pairs, n_train=200, seed=1)
+    s = edge_feature_scores(emb, sp.train, sp.test_pairs, n_train=200)
     assert s.shape == (len(sp.test_pairs),)
 
 
@@ -81,7 +81,7 @@ def test_topk_numpy_matches_exhaustive(bundle, nrp_emb):
 
 def test_reconstruction_sampled_protocol(bundle, nrp_emb):
     g, _ = bundle
-    prec = reconstruction_precision(nrp_emb, g, [10, 100], sample=5000, seed=0)
+    prec = reconstruction_precision(nrp_emb, g, [10, 100], sample=5000)
     assert prec[10] > 0.5  # sampled candidates contain ~8% edges; top must enrich
 
 
@@ -106,7 +106,7 @@ def test_directed_topk_allows_both_orientations():
 # ----------------------------------------------------------- classification
 def test_classification_beats_chance(bundle, nrp_emb):
     g, labels = bundle
-    micro, macro = node_classification_f1(nrp_emb, labels, train_ratio=0.5, seed=0)
+    micro, macro = node_classification_f1(nrp_emb, labels, train_ratio=0.5)
     assert micro > 0.5 and macro > 0.4  # 5 classes -> chance is 0.2
 
 
