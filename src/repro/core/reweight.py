@@ -149,12 +149,21 @@ def backward_aggregates(X, Y, wf, wb, d_out, xy) -> BackwardAggregates:
 # ---------------------------------------------------------------------------
 # Gauss-Seidel sweeps (Algorithm 2 / Algorithm 4)
 # ---------------------------------------------------------------------------
+def sweep_constants(X, Y) -> tuple[np.ndarray, np.ndarray]:
+    """``xy = X_v . Y_v`` and ``t_self = sum_r X_v[r]^2 Y_v[r]^2`` per node:
+    the sweep's constants that depend only on (X, Y), so one ``nrp()`` call
+    computes them once for all its sweeps. The forward sweep passes the
+    same pair, since ``sweep_constants(Y, X)`` has the same bits."""
+    return np.einsum("ij,ij->i", X, Y), np.einsum("ij,ij->i", Y**2, X**2)
+
+
 def update_backward_weights(
     X, Y, wf, wb, d_out, d_in, *,
     lam: float = 10.0,
     rng: np.random.Generator | None = None,
     strict: bool = False,
     chunk: int | None = None,
+    consts: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One epoch of Algorithm 2: update every backward weight once, in
     random order, with incrementally-maintained rho1/rho2.
@@ -171,13 +180,16 @@ def update_backward_weights(
     identical). ``None`` picks min(512, max(1, n // 16)): Jacobi over a
     large share of the nodes overshoots and undoes the degree calibration
     on small graphs, while 512 is what makes n ~ 10^5 sweeps fast in numpy
-    (DESIGN.md §7)."""
+    (DESIGN.md §7). Every per-node array is gathered into the random order
+    once, so each chunk reads contiguous rows.
+
+    ``consts`` is :func:`sweep_constants` of (X, Y), computed here when not
+    given; the weights have the same bits either way."""
     n, k2 = X.shape
     rng = rng or np.random.default_rng(0)
     if chunk is None:
         chunk = min(512, max(1, n // 16))
-    wb = wb.copy()
-    xy = np.einsum("ij,ij->i", X, Y)          # X_v . Y_v
+    xy, t_self = consts if consts is not None else sweep_constants(X, Y)
     ag = backward_aggregates(X, Y, wf, wb, d_out, xy)
     xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
     # per-node constants, vectorized once per sweep
@@ -186,25 +198,36 @@ def update_backward_weights(
     LamY = Y @ Lam                            # (n, k'): Lam Y_v^T rows
     yly = np.einsum("ij,ij->i", Y, LamY)      # Y_v Lam Y_v^T
     t_phi = (Y**2) @ phi                      # sum_r phi[r] Y_v[r]^2
-    t_self = np.einsum("ij,ij->i", Y**2, X**2)  # sum_r X_v[r]^2 Y_v[r]^2
     floor = 1.0 / n
     order = rng.permutation(n)
-    for lo in range(0, n, chunk):
-        c = order[lo : lo + chunk]
+    # row i below is node order[i], so chunk c is the slice of rows c
+    X, Y, LamY = (M.take(order, axis=0) for M in (X, Y, LamY))
+    wf, w, xy, t_self, a1_all, chiY, yly, t_phi, d_out, d_in = (
+        v.take(order)
+        for v in (wf, wb, xy, t_self, a1_all, chiY, yly, t_phi, d_out, d_in)
+    )
+    for lo in range(0, order.size, chunk):
+        c = slice(lo, lo + chunk)
+        Xc, Yc, LamYc = X[c], Y[c], LamY[c]
+        if lo * k2 % 2:
+            # OpenBLAS sums a product with a vector in an order that
+            # depends on the matrix's 16-byte alignment: rows that start
+            # 8 bytes off (odd k') are copied, as fresh arrays are aligned
+            Xc, Yc, LamYc = Xc.copy(), Yc.copy(), LamYc.copy()
         s = chiY[c] - wf[c] * xy[c]           # (chi - wf_v X_v) Y_v^T
         a1 = a1_all[c]
         a2 = d_in[c] * s
         a3 = (
-            LamY[c] @ rho1
-            - wb[c] * yly[c]
-            - Y[c] @ rho2
-            + wb[c] * xy[c] ** 2 * wf[c] ** 2
+            LamYc @ rho1
+            - w[c] * yly[c]
+            - Yc @ rho2
+            + w[c] * xy[c] ** 2 * wf[c] ** 2
         )
         b2 = s * s
         if strict:
             a1 = a1 - d_out[c] * wf[c] * xy[c]
             a3 = a3 - wf[c] ** 2 * xy[c] * (
-                X[c] @ rho1 - wb[c] * xy[c]
+                Xc @ rho1 - w[c] * xy[c]
             )
             b1 = yly[c] - (wf[c] * xy[c]) ** 2
         else:
@@ -212,12 +235,15 @@ def update_backward_weights(
         den = b1 + b2 + lam
         new = np.where(
             den > 0, np.maximum(floor, (a1 + a2 - a3) / np.where(den > 0, den, 1.0)),
-            wb[c],  # flat objective (zero rows, lam=0): keep weight
+            w[c],  # flat objective (zero rows, lam=0): keep weight
         )
-        delta = new - wb[c]
-        rho1 = rho1 + delta @ Y[c]
-        rho2 = rho2 + (delta * wf[c] ** 2 * xy[c]) @ X[c]
-        wb[c] = new
+        delta = new - w[c]
+        rho1 = rho1 + delta @ Yc
+        rho2 = rho2 + (delta * wf[c] ** 2 * xy[c]) @ Xc
+        w[c] = new
+    # nodes the permutation skips (a one-node rng visits one) keep theirs
+    wb = wb.copy()
+    wb[order] = w
     return wb
 
 

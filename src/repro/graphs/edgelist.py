@@ -17,7 +17,10 @@ Both graphs are *product providers*: ``columns(fn, X)`` runs
 their products through one kernel, :func:`jds_product`, over the
 jagged-diagonal plans :func:`jds_plan` builds once per direction from the
 CSR arrays. Every column of the result depends only on the same column of
-X, so ``fn`` may run on any split of X's columns. ``fn`` is a plain
+X, so ``fn`` may run on any split of X's columns. Every row depends only
+on its own arcs, so ``LocalGraph`` runs a plan's row blocks on one thread
+per usable core, with the bits of the serial run; in a Spark task the
+blocks run serially, one task per core. ``fn`` is a plain
 function, or a ``functools.partial`` of one that binds its parameters.
 This module is the one place that decides how code reaches the Spark
 workers: it has cloudpickle ship all of ``repro`` by value.
@@ -33,7 +36,10 @@ construction.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -65,7 +71,20 @@ def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
     return e[np.sort(idx)]
 
 
-def jds_product(X: np.ndarray, plan: tuple) -> np.ndarray:
+def _jds_block(X: np.ndarray, out: np.ndarray, block: tuple) -> None:
+    """Write one plan block's rows of ``A @ X`` into ``out``."""
+    rows, idx, bounds, tail_idx, tail_starts = block
+    acc = np.zeros((rows.size, X.shape[1]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        acc[: b - a] += X.take(idx[a:b], axis=0)
+    if tail_starts.size:
+        acc[: tail_starts.size] += np.add.reduceat(
+            X.take(tail_idx, axis=0), tail_starts, axis=0
+        )
+    out[rows] = acc
+
+
+def jds_product(X: np.ndarray, plan: tuple, map: Callable = map) -> np.ndarray:
     """``A @ X`` for the A of a :func:`jds_plan`, one row block at a time.
 
     A block's sums (its rows in the plan's order) start at zero. Diagonal j
@@ -76,18 +95,15 @@ def jds_product(X: np.ndarray, plan: tuple) -> np.ndarray:
     column of X on its own, so a column of the result does not depend on
     the others. The gathers are ``X.take(..., axis=0)``: the values of the
     fancy index ``X[...]``, about twice as fast.
+
+    The blocks write disjoint rows of the result and each row keeps its
+    order, so ``map`` may run them in any order or at once: an executor's
+    ``map`` gives the same bits as the serial built-in.
     """
     n, blocks = plan
     out = np.zeros((n, X.shape[1]))
-    for rows, idx, bounds, tail_idx, tail_starts in blocks:
-        acc = np.zeros((rows.size, X.shape[1]))
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            acc[: b - a] += X.take(idx[a:b], axis=0)
-        if tail_starts.size:
-            acc[: tail_starts.size] += np.add.reduceat(
-                X.take(tail_idx, axis=0), tail_starts, axis=0
-            )
-        out[rows] = acc
+    for _ in map(partial(_jds_block, X, out), blocks):
+        pass
     return out
 
 
@@ -150,7 +166,8 @@ def jds_plan(indptr: np.ndarray, indices: np.ndarray) -> tuple:
 class CSRProducts:
     """The unweighted ``LocalGraph`` products over fixed jagged-diagonal
     plans of A and A^T; the ``ops`` a column-separable function gets in a
-    Spark task, which builds one from the graph broadcast."""
+    Spark task, which builds one from the graph broadcast. Its products
+    run their row blocks serially: Spark already runs one task per core."""
 
     def __init__(self, plan, plan_t, divisor):
         self.plan, self.plan_t, self.divisor = plan, plan_t, divisor
@@ -184,6 +201,20 @@ def _row_divisor(d_out: np.ndarray) -> np.ndarray:
     """Column of out-degrees for ``P = D^-1 A``; dangling rows, whose sums
     are zero, divide by 1."""
     return np.where(d_out > 0, d_out, 1.0)[:, None]
+
+
+@cache
+def _block_pool() -> ThreadPoolExecutor:
+    """One thread per usable core, made on first use, that runs the row
+    blocks of the ``LocalGraph`` products: ``take`` and the in-place adds
+    on a block's L2-sized sums release the GIL. Only ``LocalGraph`` reads
+    it, so nothing a Spark job ships reaches it (an executor does not
+    pickle); Spark already runs one task per core."""
+    return ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+
+
+# a forked child has none of its parent's threads, so it makes its own pool
+os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
 @dataclass
@@ -257,16 +288,22 @@ class LocalGraph:
         """Dense row-stochastic transition matrix; dangling rows are zero."""
         return self.adjacency() / _row_divisor(self.d_out)
 
+    def _product(self, X: np.ndarray, plan: tuple) -> np.ndarray:
+        X = np.atleast_2d(X.T).T  # ensure 2-D (n, k)
+        # a one-block plan (n <= JDS_BLOCK_ROWS) runs inline
+        pooled = len(plan[1]) > 1
+        return jds_product(X, plan, _block_pool().map if pooled else map)
+
     def spmv(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` without materializing A:
-        ``(A X)[u] = sum over arcs (u, v) of X[v]``."""
-        X = np.atleast_2d(X.T).T  # ensure 2-D (n, k)
-        return jds_product(X, self.jds())
+        ``(A X)[u] = sum over arcs (u, v) of X[v]``. The plan's row blocks
+        run on a pool of one thread per usable core, with the bits of the
+        serial :func:`jds_product`."""
+        return self._product(X, self.jds())
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:
-        """``A.T @ X``."""
-        X = np.atleast_2d(X.T).T
-        return jds_product(X, self.jds_t())
+        """``A.T @ X``, on the same pool as :meth:`spmv`."""
+        return self._product(X, self.jds_t())
 
     def pmv(self, X: np.ndarray) -> np.ndarray:
         """``P @ X`` with P the transition matrix (dangling rows -> 0):

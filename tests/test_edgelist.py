@@ -3,6 +3,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 import tracemalloc
 from functools import partial
 
@@ -13,6 +14,7 @@ from pyspark import RDD, cloudpickle
 from pyspark.core.broadcast import Broadcast
 
 from repro.core.approxppr import approxppr, ppr_cols, ppr_loop
+from repro.graphs import edgelist
 from repro.graphs.edgelist import (
     JDS_BLOCK_ROWS,
     JDS_MIN_DIAG_ROWS,
@@ -214,6 +216,30 @@ def test_jds_product_column_slices():
     stacked = np.hstack([jds_product(X[:, :3], plan),
                          jds_product(X[:, 3:], plan)])
     assert np.array_equal(stacked, jds_product(X, plan))
+
+
+@pytest.mark.parametrize("width", [1, 16, 128])
+def test_local_products_run_blocks_on_the_pool(width, monkeypatch):
+    # the blocky plan's 9 blocks make LocalGraph run them on its thread
+    # pool: every call must keep the kernel's order, so the same bits
+    indptr, indices = _blocky_csr()
+    n, plan = indptr.size - 1, jds_plan(indptr, indices)
+    g = LocalGraph(np.zeros((0, 2), np.int64), n, directed=True)
+    g._cache.update(jds=plan, jds_t=plan)
+    threads = set()
+    run_block = edgelist._jds_block
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        run_block(*args)
+
+    monkeypatch.setattr(edgelist, "_jds_block", spy)
+    X = np.random.default_rng(width).standard_normal((n, width))
+    want = _jds_order_sum(X, indptr, indices)
+    for _ in range(5):
+        assert np.array_equal(g.spmv(X), want)
+        assert np.array_equal(g.spmv_t(X), want)
+    assert threads and threading.get_ident() not in threads
 
 
 def test_jds_product_peak_memory():

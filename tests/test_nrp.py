@@ -57,6 +57,15 @@ def test_deterministic():
     np.testing.assert_array_equal(r1.Y, r2.Y)
 
 
+def test_deterministic_on_several_blocks():
+    # n = 10_000 makes 3 JDS blocks, so the products run on the thread pool
+    g = erdos_renyi(10_000, 40_000, seed=7)
+    r1 = nrp(g, k=16, l2=2, seed=7)
+    r2 = nrp(LocalGraph(g.edges, g.n, g.directed), k=16, l2=2, seed=7)
+    for name in ("X", "Y", "wf", "wb"):
+        np.testing.assert_array_equal(getattr(r1, name), getattr(r2, name))
+
+
 def test_rejects_odd_k():
     g = example_graph()
     with pytest.raises(ValueError):
