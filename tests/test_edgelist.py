@@ -219,11 +219,17 @@ def test_jds_product_column_slices():
 
 
 @pytest.mark.parametrize("width", [1, 16, 128])
-def test_local_products_run_blocks_on_the_pool(width, monkeypatch):
-    # the blocky plan's 9 blocks make LocalGraph run them on its thread
-    # pool: every call must keep the kernel's order, so the same bits
+def test_pooled_products_keep_the_order(width, monkeypatch):
+    # the blocky plan's 9 blocks on the thread pool give the kernel's order
+    # on every call. Its diagonals average 1875 rows, so LocalGraph pools
+    # them at widths 16 and 128 (30K values or more per gather) and runs
+    # them inline at width 1
     indptr, indices = _blocky_csr()
     n, plan = indptr.size - 1, jds_plan(indptr, indices)
+    X = np.random.default_rng(width).standard_normal((n, width))
+    want = _jds_order_sum(X, indptr, indices)
+    for _ in range(5):
+        assert np.array_equal(jds_product(X, plan, edgelist._block_pool().map), want)
     g = LocalGraph(np.zeros((0, 2), np.int64), n, directed=True)
     g._cache.update(jds=plan, jds_t=plan)
     threads = set()
@@ -234,12 +240,11 @@ def test_local_products_run_blocks_on_the_pool(width, monkeypatch):
         run_block(*args)
 
     monkeypatch.setattr(edgelist, "_jds_block", spy)
-    X = np.random.default_rng(width).standard_normal((n, width))
-    want = _jds_order_sum(X, indptr, indices)
     for _ in range(5):
         assert np.array_equal(g.spmv(X), want)
         assert np.array_equal(g.spmv_t(X), want)
-    assert threads and threading.get_ident() not in threads
+    main = threading.get_ident()
+    assert threads == {main} if width == 1 else main not in threads
 
 
 def test_jds_product_peak_memory():
