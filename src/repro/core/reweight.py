@@ -12,7 +12,10 @@ Two implementations of the per-node terms (a1, a2, a3, b1, b2):
   path using the shared aggregates xi, chi, Lambda, rho1, rho2, phi
   (Eqs. 9, 10, 13; each one BLAS product over the nodes) with incremental
   rho updates (Eq. 11) as the sweep visits nodes in random order, one
-  chunk of nodes at a time.
+  chunk of nodes at a time: the rows are gathered into that order once
+  per sweep, so a chunk is a slice. The per-node constants that depend
+  only on (X, Y), :func:`sweep_constants`, are computed once per
+  ``nrp()`` call.
   :func:`update_forward_weights` is the same sweep with the roles of
   (X, w->, d_out) and (Y, w<-, d_in) swapped, which is all Appendix B's
   Eqs. (24)-(28) change.
@@ -192,7 +195,7 @@ def update_backward_weights(
     xy, t_self = consts if consts is not None else sweep_constants(X, Y)
     ag = backward_aggregates(X, Y, wf, wb, d_out, xy)
     xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
-    # per-node constants, vectorized once per sweep
+    # per-node constants of this sweep's aggregates, vectorized once
     a1_all = Y @ xi                           # xi Y_v^T
     chiY = Y @ chi                            # chi Y_v^T
     LamY = Y @ Lam                            # (n, k'): Lam Y_v^T rows

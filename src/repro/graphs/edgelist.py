@@ -317,7 +317,7 @@ class LocalGraph:
         return self._product(X, self.jds())
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:
-        """``A.T @ X``, on the same pool as :meth:`spmv`."""
+        """``A.T @ X``; its blocks run as in :meth:`spmv`."""
         return self._product(X, self.jds_t())
 
     def pmv(self, X: np.ndarray) -> np.ndarray:

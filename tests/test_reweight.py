@@ -208,6 +208,60 @@ def test_sweeps_read_the_same_with_passed_constants(strict):
         assert np.array_equal(got, want)
 
 
+def _gathered_sweep(X, Y, wf, wb, d_out, d_in, lam, order, chunk, strict):
+    # the sweep as written before its rows were laid out in sweep order:
+    # each chunk fancy-indexes the node ids it updates
+    n, k2 = X.shape
+    wb = wb.copy()
+    xy = np.einsum("ij,ij->i", X, Y)
+    ag = backward_aggregates(X, Y, wf, wb, d_out, xy)
+    rho1, rho2 = ag.rho1, ag.rho2
+    a1_all, chiY, LamY = Y @ ag.xi, Y @ ag.chi, Y @ ag.Lam
+    yly = np.einsum("ij,ij->i", Y, LamY)
+    t_phi = (Y**2) @ ag.phi
+    t_self = np.einsum("ij,ij->i", Y**2, X**2)
+    for lo in range(0, n, chunk):
+        c = order[lo:lo + chunk]
+        s = chiY[c] - wf[c] * xy[c]
+        a1, a2 = a1_all[c], d_in[c] * s
+        a3 = (LamY[c] @ rho1 - wb[c] * yly[c] - Y[c] @ rho2
+              + wb[c] * xy[c] ** 2 * wf[c] ** 2)
+        if strict:
+            a1 = a1 - d_out[c] * wf[c] * xy[c]
+            a3 = a3 - wf[c] ** 2 * xy[c] * (X[c] @ rho1 - wb[c] * xy[c])
+            b1 = yly[c] - (wf[c] * xy[c]) ** 2
+        else:
+            b1 = (k2 / 2.0) * (t_phi[c] - wf[c] ** 2 * t_self[c])
+        den = b1 + s * s + lam
+        new = np.where(den > 0, np.maximum(
+            1.0 / n, (a1 + a2 - a3) / np.where(den > 0, den, 1.0)), wb[c])
+        delta = new - wb[c]
+        rho1 = rho1 + delta @ Y[c]
+        rho2 = rho2 + (delta * wf[c] ** 2 * xy[c]) @ X[c]
+        wb[c] = new
+    return wb
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("k2", [5, 8])
+def test_sweep_over_contiguous_rows_keeps_the_bits(k2, strict):
+    # at odd k' an odd chunk (here the default 125) starts every other
+    # chunk 8 bytes off a 16-byte boundary, where OpenBLAS sums a
+    # matrix-vector product in another order unless the rows are copied
+    g = dcsbm(2000, 30_000, 10, directed=True, seed=6)[0]
+    X, Y = approxppr(g, k2, seed=0)
+    wf = np.maximum(g.d_out, 1 / g.n)
+    wb = np.ones(g.n)
+    order = np.random.default_rng(4).permutation(g.n)
+    for chunk in (None, 37):
+        got = update_backward_weights(
+            X, Y, wf, wb, g.d_out, g.d_in, lam=1.0, strict=strict,
+            chunk=chunk, rng=np.random.default_rng(4))
+        want = _gathered_sweep(X, Y, wf, wb, g.d_out, g.d_in, 1.0, order,
+                               chunk or 125, strict)
+        assert np.array_equal(got, want)
+
+
 # -------------------------------------------------------------- Example 2
 def test_example2_update_structure():
     """Example 2 semantics: with w<- = 1 and w-> = degrees on the Fig. 1
