@@ -15,11 +15,7 @@ import numpy as np
 from pyspark.sql import SparkSession
 
 from repro.core.approxppr import approxppr
-from repro.core.reweight import (
-    sweep_constants,
-    update_backward_weights,
-    update_forward_weights,
-)
+from repro.core.reweight import update_backward_weights, update_forward_weights
 from repro.graphs.edgelist import LocalGraph
 
 
@@ -70,13 +66,12 @@ def nrp(
     wf = np.maximum(g.d_out.astype(np.float64), 1.0 / n)
     wb = np.ones(n)
     rng = np.random.default_rng(seed + 1)
-    consts = sweep_constants(X0, Y0)  # X0, Y0 stay fixed for every sweep
     for _ in range(l2):
         wb = update_backward_weights(
-            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng, consts=consts
+            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng
         )
         wf = update_forward_weights(
-            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng, consts=consts
+            X0, Y0, wf, wb, g.d_out, g.d_in, lam=lam, rng=rng
         )
     return NRPResult(
         X=wf[:, None] * X0, Y=wb[:, None] * Y0, X0=X0, Y0=Y0, wf=wf, wb=wb

@@ -13,9 +13,7 @@ Two implementations of the per-node terms (a1, a2, a3, b1, b2):
   (Eqs. 9, 10, 13; each one BLAS product over the nodes) with incremental
   rho updates (Eq. 11) as the sweep visits nodes in random order, one
   chunk of nodes at a time: the rows are gathered into that order once
-  per sweep, so a chunk is a slice. The per-node constants that depend
-  only on (X, Y), :func:`sweep_constants`, are computed once per
-  ``nrp()`` call.
+  per sweep, so a chunk is a slice.
   :func:`update_forward_weights` is the same sweep with the roles of
   (X, w->, d_out) and (Y, w<-, d_in) swapped, which is all Appendix B's
   Eqs. (24)-(28) change.
@@ -152,21 +150,12 @@ def backward_aggregates(X, Y, wf, wb, d_out, xy) -> BackwardAggregates:
 # ---------------------------------------------------------------------------
 # Gauss-Seidel sweeps (Algorithm 2 / Algorithm 4)
 # ---------------------------------------------------------------------------
-def sweep_constants(X, Y) -> tuple[np.ndarray, np.ndarray]:
-    """``xy = X_v . Y_v`` and ``t_self = sum_r X_v[r]^2 Y_v[r]^2`` per node:
-    the sweep's constants that depend only on (X, Y), so one ``nrp()`` call
-    computes them once for all its sweeps. The forward sweep passes the
-    same pair, since ``sweep_constants(Y, X)`` has the same bits."""
-    return np.einsum("ij,ij->i", X, Y), np.einsum("ij,ij->i", Y**2, X**2)
-
-
 def update_backward_weights(
     X, Y, wf, wb, d_out, d_in, *,
     lam: float = 10.0,
     rng: np.random.Generator | None = None,
     strict: bool = False,
     chunk: int | None = None,
-    consts: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One epoch of Algorithm 2: update every backward weight once, in
     random order, with incrementally-maintained rho1/rho2.
@@ -184,23 +173,21 @@ def update_backward_weights(
     large share of the nodes overshoots and undoes the degree calibration
     on small graphs, while 512 is what makes n ~ 10^5 sweeps fast in numpy
     (DESIGN.md §7). Every per-node array is gathered into the random order
-    once, so each chunk reads contiguous rows.
-
-    ``consts`` is :func:`sweep_constants` of (X, Y), computed here when not
-    given; the weights have the same bits either way."""
+    once, so each chunk reads contiguous rows."""
     n, k2 = X.shape
     rng = rng or np.random.default_rng(0)
     if chunk is None:
         chunk = min(512, max(1, n // 16))
-    xy, t_self = consts if consts is not None else sweep_constants(X, Y)
+    xy = np.einsum("ij,ij->i", X, Y)          # X_v . Y_v
     ag = backward_aggregates(X, Y, wf, wb, d_out, xy)
     xi, chi, Lam, rho1, rho2, phi = ag.xi, ag.chi, ag.Lam, ag.rho1, ag.rho2, ag.phi
-    # per-node constants of this sweep's aggregates, vectorized once
+    # per-node constants, vectorized once per sweep
     a1_all = Y @ xi                           # xi Y_v^T
     chiY = Y @ chi                            # chi Y_v^T
     LamY = Y @ Lam                            # (n, k'): Lam Y_v^T rows
     yly = np.einsum("ij,ij->i", Y, LamY)      # Y_v Lam Y_v^T
     t_phi = (Y**2) @ phi                      # sum_r phi[r] Y_v[r]^2
+    t_self = np.einsum("ij,ij->i", Y**2, X**2)  # sum_r X_v[r]^2 Y_v[r]^2
     floor = 1.0 / n
     order = rng.permutation(n)
     # row i below is node order[i], so chunk c is the slice of rows c

@@ -113,11 +113,6 @@ JDS_BLOCK_ROWS = 4096
 #: a diagonal with fewer rows costs more in numpy calls than it saves; the
 #: arcs it would hold are summed by the block's one reduceat
 JDS_MIN_DIAG_ROWS = 64
-#: pooled blocks trade the GIL around every gather, which pays only when
-#: the gathers are long: er60k's diagonals gather 42K values at width 16
-#: and ran about twice as fast on 4 threads, while the power-law lite
-#: graphs' gather 10-13K and ran up to 1.65x slower (DESIGN.md §5)
-JDS_POOL_MIN_VALUES = 2**14
 
 
 def jds_plan(indptr: np.ndarray, indices: np.ndarray) -> tuple:
@@ -222,16 +217,6 @@ def _block_pool() -> ThreadPoolExecutor:
 os.register_at_fork(after_in_child=_block_pool.cache_clear)
 
 
-def _pool_pays(plan: tuple, width: int) -> bool:
-    """Whether :func:`_block_pool` runs the product of ``plan`` at this
-    width faster than one thread: the plan has more than one block, and
-    its diagonals gather ``JDS_POOL_MIN_VALUES`` values each on average."""
-    blocks = plan[1]
-    diagonals = sum(len(b[2]) - 1 for b in blocks)
-    arcs = sum(b[1].size for b in blocks)
-    return len(blocks) > 1 and width * arcs >= JDS_POOL_MIN_VALUES * diagonals
-
-
 @dataclass
 class LocalGraph:
     """In-memory graph: canonical edges + directed-arc expansion + caches."""
@@ -305,15 +290,14 @@ class LocalGraph:
 
     def _product(self, X: np.ndarray, plan: tuple) -> np.ndarray:
         X = np.atleast_2d(X.T).T  # ensure 2-D (n, k)
-        pooled = _pool_pays(plan, X.shape[1])
+        pooled = len(plan[1]) > 1  # one block has nothing to overlap
         return jds_product(X, plan, _block_pool().map if pooled else map)
 
     def spmv(self, X: np.ndarray) -> np.ndarray:
         """``A @ X`` without materializing A:
         ``(A X)[u] = sum over arcs (u, v) of X[v]``. The plan's row blocks
-        run on a pool of one thread per usable core when that pays
-        (:func:`_pool_pays`), with the bits of the serial
-        :func:`jds_product`."""
+        run on a pool of one thread per usable core when there are more than
+        one, with the bits of the serial :func:`jds_product`."""
         return self._product(X, self.jds())
 
     def spmv_t(self, X: np.ndarray) -> np.ndarray:

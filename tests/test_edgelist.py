@@ -221,9 +221,8 @@ def test_jds_product_column_slices():
 @pytest.mark.parametrize("width", [1, 16, 128])
 def test_pooled_products_keep_the_order(width, monkeypatch):
     # the blocky plan's 9 blocks on the thread pool give the kernel's order
-    # on every call. Its diagonals average 1875 rows, so LocalGraph pools
-    # them at widths 16 and 128 (30K values or more per gather) and runs
-    # them inline at width 1
+    # on every call, directly and through LocalGraph, which pools every
+    # plan of more than one block
     indptr, indices = _blocky_csr()
     n, plan = indptr.size - 1, jds_plan(indptr, indices)
     X = np.random.default_rng(width).standard_normal((n, width))
@@ -243,8 +242,7 @@ def test_pooled_products_keep_the_order(width, monkeypatch):
     for _ in range(5):
         assert np.array_equal(g.spmv(X), want)
         assert np.array_equal(g.spmv_t(X), want)
-    main = threading.get_ident()
-    assert threads == {main} if width == 1 else main not in threads
+    assert threads and threading.get_ident() not in threads
 
 
 def test_jds_product_peak_memory():

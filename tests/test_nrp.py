@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.nrp import nrp
 from repro.core.approxppr import approxppr
-from repro.graphs.edgelist import LocalGraph, _pool_pays
+from repro.graphs.edgelist import LocalGraph
 from repro.graphs.generators import dcsbm, erdos_renyi, example_graph
 
 
@@ -58,10 +58,9 @@ def test_deterministic():
 
 
 def test_deterministic_on_several_blocks():
-    # n = 10_000 makes 3 JDS blocks, long enough at k' = 16 columns for the
-    # products to run on the thread pool
+    # n = 10_000 makes 3 JDS blocks, so the products run on the thread pool
     g = erdos_renyi(10_000, 40_000, seed=7)
-    assert _pool_pays(g.jds(), 16)
+    assert len(g.jds()[1]) == 3
     r1 = nrp(g, k=32, l2=2, seed=7)
     r2 = nrp(LocalGraph(g.edges, g.n, g.directed), k=32, l2=2, seed=7)
     for name in ("X", "Y", "wf", "wb"):

@@ -10,7 +10,6 @@ from repro.core.reweight import (
     naive_backward_terms,
     naive_forward_terms,
     objective,
-    sweep_constants,
     update_backward_weights,
     update_forward_weights,
 )
@@ -186,26 +185,6 @@ def test_degree_calibration_improves(n, m):
         wb = update_backward_weights(X, Y, wf, wb, g.d_out, g.d_in, lam=1.0, rng=rng)
         wf = update_forward_weights(X, Y, wf, wb, g.d_out, g.d_in, lam=1.0, rng=rng)
     assert calib_err(wf, wb) < 0.5 * calib_err(wf0, wb0)
-
-
-@pytest.mark.parametrize("strict", [False, True])
-def test_sweeps_read_the_same_with_passed_constants(strict):
-    # n = 2000 gives the default chunk 125, so 16 chunks; nrp() computes
-    # xy and t_self once and passes them to both sweeps of every epoch
-    g = dcsbm(2000, 30_000, 10, directed=True, seed=6)[0]
-    X, Y = approxppr(g, 16, seed=0)
-    wf = np.maximum(g.d_out, 1 / g.n)
-    wb = np.ones(g.n)
-    consts = sweep_constants(X, Y)
-    for a, b in zip(consts, sweep_constants(Y, X)):
-        assert np.array_equal(a, b)
-    for update in (update_backward_weights, update_forward_weights):
-        kw = dict(lam=1.0, strict=strict)
-        got = update(X, Y, wf, wb, g.d_out, g.d_in, consts=consts,
-                     rng=np.random.default_rng(3), **kw)
-        want = update(X, Y, wf, wb, g.d_out, g.d_in,
-                      rng=np.random.default_rng(3), **kw)
-        assert np.array_equal(got, want)
 
 
 def _gathered_sweep(X, Y, wf, wb, d_out, d_in, lam, order, chunk, strict):
