@@ -7,6 +7,8 @@ as the paper does when reporting them on directed graphs.
 """
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from repro.embedding import Embedding
@@ -24,14 +26,24 @@ def _symmetrized(g: LocalGraph) -> LocalGraph:
     return LocalGraph.from_edges(g.edges, g.n, directed=False, name=g.name + "_sym")
 
 
+class _Products(NamedTuple):
+    """Product provider over an n x n operator given by its two products:
+    ProNE's normalized adjacency, NetMF's and STRAP's dense proximity."""
+
+    n: int
+    spmv: Callable[[np.ndarray], np.ndarray]
+    spmv_t: Callable[[np.ndarray], np.ndarray]
+
+    def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
+        return fn(self, X)
+
+
 def _dense_bksvd(
     M: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BKSVD of a dense n x n matrix (NetMF's and STRAP's proximity)."""
-    return bksvd_local(
-        lambda x: M @ x, lambda x: M.T @ x, M.shape[0], k, q=BASELINE_Q,
-        seed=seed,
-    )
+    ops = _Products(M.shape[0], lambda x: M @ x, lambda x: M.T @ x)
+    return bksvd_local(ops, k, q=BASELINE_Q, seed=seed)
 
 
 def arope(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
@@ -41,7 +53,7 @@ def arope(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     preserve S = sum_i w_i A^i without materializing S."""
     order, beta = 3, 0.1
     gs = _symmetrized(g)
-    U, _, _ = bksvd_local(gs.spmv, gs.spmv_t, gs.n, k, q=BASELINE_Q, seed=seed)
+    U, _, _ = bksvd_local(gs, k, q=BASELINE_Q, seed=seed)
     # Ritz values give signed eigenvalues (bksvd's singular values lose sign)
     lam = np.einsum("ij,ij->j", U, gs.spmv(U))
     F = sum(beta ** (i - 1) * lam**i for i in range(1, order + 1))
@@ -104,7 +116,9 @@ def prone(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
     def a_sym(x):
         return dinv_sqrt[:, None] * gs.spmv(dinv_sqrt[:, None] * x)
 
-    U, s, _ = bksvd_local(a_sym, a_sym, gs.n, k, q=BASELINE_Q, seed=seed)
+    U, s, _ = bksvd_local(
+        _Products(gs.n, a_sym, a_sym), k, q=BASELINE_Q, seed=seed
+    )
     X = U * np.sqrt(s)[None, :]
     # Laplacian L = I - A_sym has spectrum in [0, 2]; rescale to
     # Lhat = L - I (spectrum [-1, 1]) for the Chebyshev recurrence

@@ -1,5 +1,6 @@
-"""Shared machinery for the random-walk baselines: vectorized random walks
-over CSR adjacency and skip-gram-with-negative-sampling (SGNS) training.
+"""Shared machinery for the random-walk baselines: the pairs they draw from
+:func:`~repro.graphs.edgelist.random_walks` and skip-gram-with-negative-
+sampling (SGNS) training.
 
 This is the substrate behind DeepWalk/LINE/APP/VERSE. Deliberately numpy
 (the paper's point is precisely that SGD-over-walks does not scale; these
@@ -9,38 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.edgelist import LocalGraph
+from repro.graphs.edgelist import LocalGraph, random_walks
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -30.0, 30.0)))
-
-
-def random_walks(
-    g: LocalGraph,
-    starts: np.ndarray,
-    length: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Vectorized uniform random walks. Returns (len(starts), length + 1)
-    node ids; -1 marks steps after the walk hit a dangling node."""
-    indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    walks = np.full((len(starts), length + 1), -1, dtype=np.int64)
-    walks[:, 0] = starts
-    cur = starts.copy()
-    alive = np.ones(len(starts), dtype=bool)
-    for t in range(1, length + 1):
-        alive = alive & (deg[np.where(alive, cur, 0)] > 0) & (cur >= 0)
-        if not alive.any():
-            break
-        c = cur[alive]
-        step = indptr[c] + (rng.random(len(c)) * deg[c]).astype(np.int64)
-        nxt = indices[step]
-        cur = cur.copy()
-        cur[alive] = nxt
-        walks[alive, t] = nxt
-    return walks
 
 
 def geometric_stop_pairs(

@@ -5,14 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.baselines.sgns import (
-    geometric_stop_pairs,
-    random_walks,
-    sgns_train,
-    window_pairs,
-)
+from repro.baselines.sgns import geometric_stop_pairs, sgns_train, window_pairs
 from repro.embedding import Embedding
-from repro.graphs.edgelist import LocalGraph
+from repro.graphs.edgelist import LocalGraph, random_walks
 
 
 def deepwalk(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:

@@ -80,10 +80,10 @@ def approxppr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 1 front door. ``backend`` in {"local", "spark"}; the Spark
     backend builds (and afterwards releases) a :class:`SparkGraph`."""
+    if g.n < 1:
+        raise ValueError("ApproxPPR needs a graph with at least one node")
     if backend == "local":
-        U, sig, V = bksvd_local(
-            g.spmv, g.spmv_t, g.n, k2, eps=eps, q=q, seed=seed
-        )
+        U, sig, V = bksvd_local(g, k2, eps=eps, q=q, seed=seed)
         return _power(g, g, U, sig, V, alpha, l1)
     if backend != "spark":
         raise ValueError(f"unknown backend {backend!r}")

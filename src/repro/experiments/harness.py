@@ -307,23 +307,20 @@ def efficiency_table(
 def param_sweep_table(
     dataset: str,
     *,
-    alphas: tuple[float, ...],
-    epss: tuple[float, ...],
-    l1s: tuple[int, ...],
-    l2s: tuple[int, ...],
+    grid: dict[str, tuple],
     k: int = 32,
     measure_time: bool = False,
 ) -> pd.DataFrame:
     """Fig. 8 (AUC) / Fig. 11 (runtime) parameter analysis for NRP: vary
-    one of alpha, eps, l1, l2 with the others at paper defaults (lam=1 is
-    the lite-scale analogue of the paper's lam=10 — see registry). With
-    ``measure_time``, a point's seconds are timed as :func:`_median_seconds`
-    times them, with the one warm-up before the first point."""
+    each nrp parameter of ``grid`` (name -> values) in turn, with the others
+    at paper defaults (lam=1 is the lite-scale analogue of the paper's
+    lam=10 — see registry). With ``measure_time``, a point's seconds are
+    timed as :func:`_median_seconds` times them, with the one warm-up
+    before the first point."""
     b = load_dataset(dataset)
     split = link_prediction_split(b.graph, frac=0.3)
     defaults = dict(alpha=0.15, eps=0.2, l1=20, l2=10, lam=1.0)
-    grids = {"alpha": alphas, "eps": epss, "l1": l1s, "l2": l2s}
-    points = [(pname, val) for pname, grid in grids.items() for val in grid]
+    points = [(pname, val) for pname, vals in grid.items() for val in vals]
     rows = []
     for i, (pname, val) in enumerate(points):
         kw = {**defaults, pname: val}
@@ -387,24 +384,21 @@ def evolving_table(
 def scalability_table(
     spark: SparkSession | None,
     *,
-    ns: tuple[int, ...],
-    ms: tuple[int, ...],
-    fixed_n: int,
-    fixed_m: int,
+    points: list[tuple[str, int, int]],
     k: int = 32,
 ) -> pd.DataFrame:
-    """Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs, varying n at
-    fixed m and m at fixed n (paper used n up to 1e6, m up to 1e8; we scale
-    both down 10x — DESIGN.md §3). ``lam=1`` as in every quality table.
-    NRP runs on the Spark backend when ``spark`` is given. A row's seconds
+    """Appendix Fig. 10: NRP runtime on Erdos-Renyi graphs of n nodes and m
+    edges, one row per ``(vary, n, m)`` of ``points``, where ``vary`` names
+    the size the row varies (paper used n up to 1e6, m up to 1e8; we scale
+    both down 10x — DESIGN.md §3). ``lam=1`` as in every quality table. NRP
+    runs on the Spark backend when ``spark`` is given. A row's seconds
     are timed as :func:`_median_seconds` times them, with the one warm-up
     before the first row; each embed runs on a fresh view of the graph, so
     each pays its graph's CSR and plan builds."""
     backend = "spark" if spark is not None else "local"
     kw = dict(lam=1.0, backend=backend, spark=spark)
-    specs = [("n", n, fixed_m) for n in ns] + [("m", fixed_n, m) for m in ms]
     rows = []
-    for i, (vary, n, m) in enumerate(specs):
+    for i, (vary, n, m) in enumerate(points):
         g = erdos_renyi(n, m)
 
         def embed():
@@ -473,8 +467,9 @@ RUNS: dict[str, Run] = {
     )),
     "fig8_param_analysis": Run(partial(
         param_sweep_table, "wiki_lite",
-        alphas=(0.1, 0.15, 0.3, 0.5, 0.9), epss=(0.1, 0.2, 0.5, 0.9),
-        l1s=(1, 5, 10, 20, 30), l2s=(0, 2, 5, 10, 20), k=32,
+        grid={"alpha": (0.1, 0.15, 0.3, 0.5, 0.9), "eps": (0.1, 0.2, 0.5, 0.9),
+              "l1": (1, 5, 10, 20, 30), "l2": (0, 2, 5, 10, 20)},
+        k=32,
     )),
     "fig9_evolving": Run(partial(
         evolving_table, ["vk_lite", "digg_lite"],
@@ -484,19 +479,21 @@ RUNS: dict[str, Run] = {
     )),
     # the full grid shrunk ~3x to keep the run short
     "fig10_scalability": Run(partial(
-        scalability_table, None, ns=(20_000, 40_000, 60_000),
-        ms=(200_000, 400_000, 600_000), fixed_n=60_000, fixed_m=600_000,
+        scalability_table, None,
+        points=[("n", n, 600_000) for n in (20_000, 40_000, 60_000)]
+        + [("m", 60_000, m) for m in (200_000, 400_000, 600_000)],
         k=32,
     )),
     "fig10_scalability_spark_point": Run(partial(
-        scalability_table, ns=(20_000,), ms=(), fixed_n=20_000,
-        fixed_m=200_000, k=16,
+        scalability_table, points=[("n", 20_000, 200_000)], k=16,
     ), spark=True),
     # tweibo_lite (n = 15K) is large enough that the l1 effect (matvec
     # count) dominates timing noise (EXPERIMENTS.md E-RTP)
     "fig11_runtime_params": Run(partial(
-        param_sweep_table, "tweibo_lite", alphas=(0.15, 0.9),
-        epss=(0.2, 0.9), l1s=(5, 40), l2s=(0, 30), k=32, measure_time=True,
+        param_sweep_table, "tweibo_lite",
+        grid={"alpha": (0.15, 0.9), "eps": (0.2, 0.9), "l1": (5, 40),
+              "l2": (0, 30)},
+        k=32, measure_time=True,
     )),
 }
 

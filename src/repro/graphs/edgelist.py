@@ -12,11 +12,12 @@ Two views of the same graph:
   column slices of X and returns the same bits as the ``LocalGraph`` run.
   The broadcast is all it keeps on Spark; it holds no DataFrame.
 
-Both graphs are *product providers*: ``columns(fn, X)`` runs
-``fn(ops, X)``, where ``ops`` has ``spmv``/``spmv_t``/``pmv``. Both run
-their products through one kernel, :func:`jds_product`, over the
-jagged-diagonal plans :func:`jds_plan` builds once per direction from the
-CSR arrays. Every column of the result depends only on the same column of
+Both graphs are *product providers*: they have ``n``, and
+``columns(fn, X)`` runs ``fn(ops, X)``, where ``ops`` has
+``spmv``/``spmv_t``/``pmv``. Both run their products through one kernel,
+:func:`jds_product`, over the jagged-diagonal plans :func:`jds_plan` builds
+once per direction from the CSR arrays; :func:`random_walks` is the one
+other reader of those arrays. Every column of the result depends only on the same column of
 X, so ``fn`` may run on any split of X's columns. Every row depends only
 on its own arcs, so ``LocalGraph`` may run a plan's row blocks on one
 thread per usable core, with the bits of the serial run; in a Spark task
@@ -316,7 +317,7 @@ class LocalGraph:
 
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """(indptr, indices) adjacency in CSR form (arcs by src), read by
-        :meth:`jds` and the walk samplers."""
+        :meth:`jds` and :func:`random_walks`."""
         if "csr" not in self._cache:
             self._cache["csr"] = _csr(self.arcs[:, 0], self.arcs[:, 1], self.n)
         return self._cache["csr"]
@@ -351,6 +352,33 @@ class LocalGraph:
                 (a[:, 0] * np.int64(self.n) + a[:, 1]).tolist()
             )
         return self._cache["keys"]
+
+
+def random_walks(
+    g: LocalGraph,
+    starts: np.ndarray,
+    length: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Vectorized uniform random walks. Returns (len(starts), length + 1)
+    node ids; -1 marks steps after the walk hit a dangling node."""
+    indptr, indices = g.csr()
+    deg = np.diff(indptr)
+    walks = np.full((len(starts), length + 1), -1, dtype=np.int64)
+    walks[:, 0] = starts
+    cur = starts.copy()
+    alive = np.ones(len(starts), dtype=bool)
+    for t in range(1, length + 1):
+        alive = alive & (deg[np.where(alive, cur, 0)] > 0) & (cur >= 0)
+        if not alive.any():
+            break
+        c = cur[alive]
+        step = indptr[c] + (rng.random(len(c)) * deg[c]).astype(np.int64)
+        nxt = indices[step]
+        cur = cur.copy()
+        cur[alive] = nxt
+        walks[alive, t] = nxt
+    return walks
 
 
 class SparkGraph:

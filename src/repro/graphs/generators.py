@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.graphs.edgelist import LocalGraph, canonical_edges
+from repro.graphs.edgelist import LocalGraph, canonical_edges, random_walks
 
 #: Pareto exponent of the DC-SBM degree propensities
 GAMMA = 2.5
@@ -142,14 +142,8 @@ def _wedge_ends(
     """Draw ``size`` two-hop walks u -> v -> w over ``g``'s arcs from
     uniform non-isolated starts u; returns (u, w) of the walks whose middle
     node v has out-arcs (the open wedges a new edge u -> w would close)."""
-    indptr, indices = g.csr()
-    deg = np.diff(indptr)
-    u = rng.choice(np.where(deg > 0)[0], size=size)
-    v = indices[indptr[u] + (rng.random(size) * deg[u]).astype(np.int64)]
-    ok = deg[v] > 0
-    u, v = u[ok], v[ok]
-    w = indices[indptr[v] + (rng.random(len(v)) * deg[v]).astype(np.int64)]
-    return np.stack([u, w], axis=1)
+    walks = random_walks(g, rng.choice(np.flatnonzero(g.d_out), size), 2, rng)
+    return walks[walks[:, 2] >= 0][:, [0, 2]]
 
 
 def _add_closure_edges(

@@ -2,12 +2,13 @@
 
 Used by ApproxPPR (paper Algorithm 1, line 1) to factorize the adjacency
 matrix A ~= U S V^T with a (1+eps) spectral-norm guarantee. The matrix is
-touched only through a product provider's ``columns`` (see
+touched only through a product provider's ``n`` and ``columns`` (see
 :mod:`repro.graphs.edgelist`), so one algorithm serves both backends:
-:func:`bksvd_local` runs it over two in-process matvecs, :func:`bksvd_spark`
-over a :class:`~repro.graphs.edgelist.SparkGraph`, where the whole Krylov
-chain, :func:`krylov_chain`, is one Spark job over column slices of Omega.
-Only small algebra on k-sized blocks stays on the driver.
+:func:`bksvd_local` runs it over any provider, a ``LocalGraph`` in process,
+and :func:`bksvd_spark` over a :class:`~repro.graphs.edgelist.SparkGraph`,
+where the whole Krylov chain, :func:`krylov_chain`, is one Spark job over
+column slices of Omega. Only small algebra on k-sized blocks stays on the
+driver.
 
 Algorithm (square A, n x n): draw Gaussian Omega (n x k); build the Krylov
 block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om], each column scaled to
@@ -22,9 +23,9 @@ columns and a ``RuntimeWarning`` names the kept rank.
 """
 from __future__ import annotations
 
+import sys
 import warnings
 from functools import partial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,14 +40,13 @@ def default_q(n: int, eps: float, k: int) -> int:
     return max(q, 1)
 
 
-def _whiten(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormalization weights from a Gram matrix: returns (W, keep_mask)
-    with Q = K @ W orthonormal (rank-revealing; tiny directions dropped)."""
+def _whiten(gram: np.ndarray) -> np.ndarray:
+    """Orthonormalization weights from a Gram matrix: W with Q = K @ W
+    orthonormal (rank-revealing; tiny directions dropped)."""
     lam, E = np.linalg.eigh((gram + gram.T) / 2.0)
     tol = max(lam.max(), 0.0) * 1e-10 + 1e-30
     keep = lam > tol
-    W = E[:, keep] / np.sqrt(lam[keep])
-    return W, keep
+    return E[:, keep] / np.sqrt(lam[keep])
 
 
 def _ritz(QtAAtQ: np.ndarray, k: int) -> np.ndarray:
@@ -92,29 +92,22 @@ def krylov_chain(ops, omega: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
-class _Matvecs(NamedTuple):
-    """Product provider over two in-process matvecs."""
-
-    spmv: Callable[[np.ndarray], np.ndarray]
-    spmv_t: Callable[[np.ndarray], np.ndarray]
-
-    def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
-        return fn(self, X)
-
-
-def _bksvd(
-    g, n: int, k: int, eps: float, q: int | None, seed: int
+def bksvd_local(
+    provider, k: int, *, eps: float = 0.2, q: int | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BKSVD of the adjacency behind the product provider ``g``."""
+    """BKSVD of the adjacency behind ``provider`` (its ``n`` and
+    ``columns``); returns (U, sig, V) with U, V of shape (n, k), sig
+    descending."""
+    n = provider.n
     q = default_q(n, eps, k) if q is None else q
     rng = np.random.default_rng(seed)
     omega = rng.standard_normal((n, k))
     # (n, 2(q + 1), k) with k as the last axis, so this reshape is free and
     # gives the columns [b_0 ... b_q | A^T b_0 ... A^T b_q]
-    Z = g.columns(partial(krylov_chain, q=q), omega).reshape(n, -1)
+    Z = provider.columns(partial(krylov_chain, q=q), omega).reshape(n, -1)
     K, T = np.hsplit(Z, 2)
     # Q = K W is orthonormal and A^T Q = T W, so neither is formed
-    W, _ = _whiten(K.T @ K)
+    W = _whiten(K.T @ K)
     Wr = _ritz(W.T @ (T.T @ T) @ W, k)
     M = W @ Wr
     U, R = K @ M, T @ M  # U = Q Wr and R = A^T U
@@ -122,36 +115,22 @@ def _bksvd(
     U, V = U @ W2, R @ Vmul
     rank = sig.size
     if rank < k:
+        # name the caller outside this module: bksvd_spark is one more frame
+        level = 2 + (sys._getframe(1).f_code.co_filename == __file__)
         warnings.warn(
             f"BKSVD kept rank {rank} < k = {k}; "
             "U and V are padded with zero columns",
-            RuntimeWarning, stacklevel=3,
+            RuntimeWarning, stacklevel=level,
         )
         pad = ((0, 0), (0, k - rank))
         U, V, sig = np.pad(U, pad), np.pad(V, pad), np.pad(sig, (0, k - rank))
     return U, sig, V
 
 
-def bksvd_local(
-    mv: Callable[[np.ndarray], np.ndarray],
-    rmv: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    k: int,
-    *,
-    eps: float = 0.2,
-    q: int | None = None,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reference BKSVD. ``mv(X) = A @ X``, ``rmv(X) = A.T @ X``; returns
-    (U, sig, V) with U, V of shape (n, k), sig descending."""
-    return _bksvd(_Matvecs(mv, rmv), n, k, eps, q, seed)
-
-
 def bksvd_spark(
-    sg, k: int, *, eps: float = 0.2, q: int | None = None, seed: int = 0
+    provider, k: int, *, eps: float = 0.2, q: int | None = None, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """BKSVD of a :class:`~repro.graphs.edgelist.SparkGraph`'s adjacency
-    (A[u, v] = 1 iff arc (u, v) exists): the algorithm of
-    :func:`bksvd_local` over its Spark jobs, so the result equals the local
-    one bit for bit."""
-    return _bksvd(sg, sg.n, k, eps, q, seed)
+    """:func:`bksvd_local` over a :class:`~repro.graphs.edgelist.SparkGraph`,
+    so the result equals the local one bit for bit. It is a name of its own
+    because the benchmark tracer wraps it under its own Spark job group."""
+    return bksvd_local(provider, k, eps=eps, q=q, seed=seed)

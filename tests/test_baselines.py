@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines.registry import METHODS, get_method
-from repro.baselines.sgns import geometric_stop_pairs, random_walks, window_pairs
+from repro.baselines.sgns import geometric_stop_pairs, window_pairs
+from repro.graphs.edgelist import random_walks
 from repro.graphs.generators import dcsbm, erdos_renyi
 from repro.tasks.linkpred import link_prediction_auc
 from repro.tasks.split import link_prediction_split

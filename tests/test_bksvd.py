@@ -9,8 +9,20 @@ from repro.graphs.generators import dcsbm, erdos_renyi, example_graph
 from repro.linalg.bksvd import bksvd_local, bksvd_spark, default_q
 
 
-def _dense_mv(A):
-    return (lambda x: A @ x), (lambda x: A.T @ x)
+class _Dense:
+    """Product provider over a dense matrix."""
+
+    def __init__(self, A):
+        self.A, self.n = A, A.shape[0]
+
+    def spmv(self, X):
+        return self.A @ X
+
+    def spmv_t(self, X):
+        return self.A.T @ X
+
+    def columns(self, fn, X):
+        return fn(self, X)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -18,7 +30,7 @@ def _dense_mv(A):
 def test_bksvd_local_spectral_bound(seed, k):
     g = erdos_renyi(60, 240, seed=seed)
     A = g.adjacency()
-    U, s, V = bksvd_local(*_dense_mv(A), 60, k, eps=0.2, seed=seed)
+    U, s, V = bksvd_local(_Dense(A), k, eps=0.2, seed=seed)
     exact = np.linalg.svd(A, compute_uv=False)
     # Theorem: ||A - U S V^T||_2 <= (1 + eps) sigma_{k+1}
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
@@ -28,7 +40,7 @@ def test_bksvd_local_spectral_bound(seed, k):
 def test_bksvd_singular_values_close_to_exact():
     g = dcsbm(80, 600, 4, seed=2)[0]
     A = g.adjacency()
-    _, s, _ = bksvd_local(*_dense_mv(A), 80, 4, eps=0.1, q=8, seed=0)
+    _, s, _ = bksvd_local(_Dense(A), 4, eps=0.1, q=8, seed=0)
     exact = np.linalg.svd(A, compute_uv=False)[:4]
     np.testing.assert_allclose(s, exact, rtol=0.05)
 
@@ -36,7 +48,7 @@ def test_bksvd_singular_values_close_to_exact():
 def test_bksvd_orthonormal_factors():
     g = erdos_renyi(50, 200, seed=3)
     A = g.adjacency()
-    U, s, V = bksvd_local(*_dense_mv(A), 50, 3, seed=1)
+    U, s, V = bksvd_local(_Dense(A), 3, seed=1)
     np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-8)
     np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-8)
     assert np.all(np.diff(s) <= 1e-9)  # descending
@@ -45,7 +57,7 @@ def test_bksvd_orthonormal_factors():
 def test_bksvd_directed_asymmetric():
     g = erdos_renyi(40, 160, directed=True, seed=4)
     A = g.adjacency()
-    U, s, V = bksvd_local(*_dense_mv(A), 40, 4, q=8, seed=0)
+    U, s, V = bksvd_local(_Dense(A), 4, q=8, seed=0)
     exact = np.linalg.svd(A, compute_uv=False)
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
     assert err <= 1.3 * exact[4] + 1e-8
@@ -61,7 +73,7 @@ def test_bksvd_spark_matches_local(spark):
     g = example_graph()
     sg = SparkGraph(spark, g)
     A = g.adjacency()
-    U_l, s_l, V_l = bksvd_local(*_dense_mv(A), g.n, 2, q=6, seed=0)
+    U_l, s_l, V_l = bksvd_local(_Dense(A), 2, q=6, seed=0)
     U_s, s_s, V_s = bksvd_spark(sg, 2, q=6, seed=0)
     # same algorithm, same seed: singular values agree tightly; factors up to sign
     np.testing.assert_allclose(s_s, s_l, rtol=1e-6)
@@ -91,7 +103,7 @@ def test_bksvd_peak_memory():
     k, q = 16, default_q(g.n, 0.2, 16)
     tracemalloc.start()
     try:
-        bksvd_local(g.spmv, g.spmv_t, g.n, k, seed=0)
+        bksvd_local(g, k, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -120,7 +120,8 @@ def test_efficiency_table_timed_tiny(monkeypatch):
 
 def test_param_sweep_tiny():
     df = H.param_sweep_table(
-        "wiki_lite", alphas=(0.15,), epss=(0.2,), l1s=(5,), l2s=(0, 2), k=8,
+        "wiki_lite",
+        grid={"alpha": (0.15,), "eps": (0.2,), "l1": (5,), "l2": (0, 2)}, k=8,
     )
     assert set(df.param) == {"alpha", "eps", "l1", "l2"}
     assert df.auc.between(0, 1).all()
@@ -136,7 +137,7 @@ def test_scalability_table_tiny(monkeypatch):
 
     monkeypatch.setattr(H, "nrp", spy)
     df = H.scalability_table(
-        None, ns=(2000,), ms=(4000,), fixed_n=2000, fixed_m=4000, k=8,
+        None, points=[("n", 2000, 4000), ("m", 2000, 4000)], k=8,
     )
     assert len(df) == 2 and (df.seconds > 0).all()
     assert (df.repeats == H.TIMING_REPEATS).all()
@@ -155,7 +156,8 @@ def test_param_sweep_timed_tiny(monkeypatch):
 
     monkeypatch.setattr(H, "nrp", spy)
     df = H.param_sweep_table(
-        "wiki_lite", alphas=(0.15,), epss=(0.2,), l1s=(5,), l2s=(0, 2),
+        "wiki_lite",
+        grid={"alpha": (0.15,), "eps": (0.2,), "l1": (5,), "l2": (0, 2)},
         k=8, measure_time=True,
     )
     assert len(df) == 5 and (df.seconds > 0).all()

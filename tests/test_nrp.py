@@ -1,4 +1,6 @@
 """NRP end-to-end (Algorithm 3): the headline qualitative claims."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -119,13 +121,25 @@ def _rank_short_graphs():
 @pytest.mark.parametrize("g, k, rank", _rank_short_graphs())
 def test_rank_short_graph_gives_k_half_columns(spark, g, k, rank):
     warning = f"kept rank {rank} < k = {k // 2};"
-    with pytest.warns(RuntimeWarning, match=warning):
+    with pytest.warns(RuntimeWarning, match=warning) as local_warnings:
         rl = nrp(g, k=k, l2=2, seed=0)
-    with pytest.warns(RuntimeWarning, match=warning):
+    with pytest.warns(RuntimeWarning, match=warning) as spark_warnings:
         rs = nrp(g, k=k, l2=2, seed=0, backend="spark", spark=spark)
+    # on both backends the warning names the line that calls BKSVD
+    assert {Path(w.filename).name for w in [*local_warnings, *spark_warnings]
+            if warning in str(w.message)} == {"approxppr.py"}
     for res in (rl, rs):
         for M in (res.X, res.Y):
             assert M.shape == (g.n, k // 2) and np.all(np.isfinite(M))
         assert np.all(res.wf >= 1 / g.n) and np.all(res.wb >= 1 / g.n)
     for name in ("X", "Y", "wf", "wb"):
         np.testing.assert_array_equal(getattr(rs, name), getattr(rl, name))
+
+
+@pytest.mark.parametrize("backend", ["local", "spark"])
+def test_graph_without_nodes_is_rejected(backend):
+    # the output contract (weights >= 1/n) has no meaning at n = 0; the
+    # check comes before the backend needs a session
+    g = LocalGraph.from_edges(np.empty((0, 2), np.int64), 0, False)
+    with pytest.raises(ValueError, match="at least one node"):
+        nrp(g, 2, backend=backend)

@@ -4,7 +4,8 @@ class defined in ``src/repro`` is referenced from ``src/``, ``benchmarks/``,
 benchmark tracer patches methods by their names). An import alone, such as
 a package ``__init__`` re-export, is not a reference. And the DataFrame
 layer stays fenced: only ``linalg/longmat.py`` may import
-``pyspark.sql.functions``, and nothing imports ``duckdb``."""
+``pyspark.sql.functions``, and nothing imports ``duckdb``. And only
+``graphs/edgelist.py`` reads a graph's CSR arrays."""
 import ast
 from pathlib import Path
 
@@ -102,3 +103,17 @@ def test_dataframe_layer_stays_fenced():
     assert importers == {
         "duckdb": [], "pyspark.sql.functions": ["linalg/longmat.py"],
     }
+
+
+def test_csr_readers_stay_fenced():
+    # the JDS plans and random_walks read csr()/csr_t(); with no reader
+    # elsewhere, what a graph caches is decided in one module
+    src = ROOT / "src" / "repro"
+    callers = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("csr", "csr_t")):
+                callers.add(path.relative_to(src).as_posix())
+    assert callers == {"graphs/edgelist.py"}
