@@ -17,11 +17,11 @@ Both graphs are *product providers*: they have ``n``, and
 ``spmv``/``spmv_t``/``pmv``. Both run their products through one kernel,
 :func:`jds_product`, over the jagged-diagonal plans :func:`jds_plan` builds
 once per direction from the CSR arrays; :func:`random_walks` is the one
-other reader of those arrays. Every column of the result depends only on the same column of
-X, so ``fn`` may run on any split of X's columns. Every row depends only
-on its own arcs, so ``LocalGraph`` may run a plan's row blocks on one
-thread per usable core, with the bits of the serial run; in a Spark task
-the blocks run serially, one task per core. ``fn`` is a plain
+other reader of those arrays. Every column of the result depends only on
+the same column of X, so ``fn`` may run on any split of X's columns. Every
+row depends only on its own arcs, so ``LocalGraph`` may run a plan's row
+blocks on one thread per usable core, with the bits of the serial run; in
+a Spark task the blocks run serially, one task per core. ``fn`` is a plain
 function, or a ``functools.partial`` of one that binds its parameters.
 This module is the one place that decides how code reaches the Spark
 workers: it has cloudpickle ship all of ``repro`` by value.
