@@ -33,7 +33,9 @@ Nodes are integers ``0..n-1``. ``edges`` is the *canonical input edge list*
 ordered pairs). ``arcs`` is the directed-arc expansion actually walked on:
 identical to ``edges`` for directed graphs, both orientations for
 undirected ones. Self-loops are dropped and duplicates removed on
-construction.
+construction, and :func:`grow_edges` keeps every edge list that is grown
+from drawn pairs (the generators' graphs, the sampled non-edges) canonical
+the same way.
 """
 from __future__ import annotations
 
@@ -70,6 +72,29 @@ def canonical_edges(edges: np.ndarray, n: int, directed: bool) -> np.ndarray:
     key = e[:, 0] * np.int64(n) + e[:, 1]
     _, idx = np.unique(key, return_index=True)
     return e[np.sort(idx)]
+
+
+def grow_edges(
+    e: np.ndarray,
+    target: int,
+    draw: Callable[[int], np.ndarray],
+    n: int,
+    directed: bool,
+    tries: int,
+) -> tuple[np.ndarray, int]:
+    """Grow ``e``, a canonical edge array, to ``target`` distinct edges.
+
+    Each try draws ``draw(target - len(e))``, a batch of candidate pairs,
+    and keeps ``canonical_edges`` of ``e`` and the batch, until ``target``
+    edges are held or ``tries`` batches have been drawn. A batch's
+    self-loops, repeats and held edges are dropped; the held edges stay
+    first and new edges follow in the order they were first drawn. Returns
+    the edges (possibly more than ``target``) and the batches drawn."""
+    drawn = 0
+    while len(e) < target and drawn < tries:
+        e = canonical_edges(np.vstack([e, draw(target - len(e))]), n, directed)
+        drawn += 1
+    return e, drawn
 
 
 def _jds_block(X: np.ndarray, out: np.ndarray, block: tuple) -> None:
@@ -343,15 +368,6 @@ class LocalGraph:
         if "jds_t" not in self._cache:
             self._cache["jds_t"] = jds_plan(*self.csr_t())
         return self._cache["jds_t"]
-
-    def edge_key_set(self) -> set:
-        """Set of arc keys (u*n+v) for O(1) membership tests."""
-        if "keys" not in self._cache:
-            a = self.arcs
-            self._cache["keys"] = set(
-                (a[:, 0] * np.int64(self.n) + a[:, 1]).tolist()
-            )
-        return self._cache["keys"]
 
 
 def random_walks(

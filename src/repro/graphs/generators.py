@@ -16,9 +16,11 @@ All generators are deterministic in ``seed``.
 """
 from __future__ import annotations
 
+from itertools import count
+
 import numpy as np
 
-from repro.graphs.edgelist import LocalGraph, canonical_edges, random_walks
+from repro.graphs.edgelist import LocalGraph, grow_edges, random_walks
 
 #: Pareto exponent of the DC-SBM degree propensities
 GAMMA = 2.5
@@ -45,22 +47,19 @@ def example_graph() -> LocalGraph:
 def erdos_renyi(
     n: int, m: int, *, directed: bool = False, seed: int = 0, name: str = ""
 ) -> LocalGraph:
-    """G(n, m)-style random graph: sample ~m distinct edges uniformly.
+    """G(n, m)-style random graph: m distinct edges drawn uniformly.
 
-    Sampling with replacement then dedup — for the sparse regimes used here
-    (m << n^2) the loss to duplicates is a few percent; we oversample to
-    land within 2% of the requested m.
+    Pairs are drawn with replacement and :func:`grow_edges` drops the
+    self-loops and duplicates. Each batch draws 15 % more pairs than are
+    still missing, plus 16; after 8 batches the graph keeps what it has.
     """
     rng = np.random.default_rng(seed)
-    target = m
-    e = np.empty((0, 2), dtype=np.int64)
-    attempts = 0
-    while e.shape[0] < target and attempts < 8:
-        need = int((target - e.shape[0]) * 1.15) + 16
-        fresh = rng.integers(0, n, size=(need, 2))
-        e = canonical_edges(np.vstack([e, fresh]), n, directed)
-        attempts += 1
-    return LocalGraph(e[:target], n, directed, name=name or f"er_{n}_{m}")
+    e, _ = grow_edges(
+        np.empty((0, 2), np.int64), m,
+        lambda short: rng.integers(0, n, size=(int(short * 1.15) + 16, 2)),
+        n, directed, tries=8,
+    )
+    return LocalGraph(e[:m], n, directed, name=name or f"er_{n}_{m}")
 
 
 def _powerlaw_propensity(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -123,15 +122,20 @@ def dcsbm(
         return np.stack([src, dst], axis=1)
 
     m_base = m - int(m * closure)
-    e = np.empty((0, 2), dtype=np.int64)
-    attempts = 0
-    while e.shape[0] < m_base and attempts < 10:
-        need = int((m_base - e.shape[0]) * 1.25) + 32
-        e = canonical_edges(np.vstack([e, sample_batch(need)]), n, directed)
-        attempts += 1
+    e, _ = grow_edges(
+        np.empty((0, 2), np.int64), m_base,
+        lambda short: sample_batch(int(short * 1.25) + 32), n, directed,
+        tries=10,
+    )
     e = e[:m_base]
     if closure > 0.0:
-        e = _add_closure_edges(e, n, directed, m, rng)
+        # top up with wedge-closing edges u -> w, where u -> v -> w is in the
+        # base graph, so both endpoints keep their power-law propensities
+        base = LocalGraph(e, n, directed)
+        e, _ = grow_edges(
+            e, m, lambda short: _wedge_ends(base, short * 3 + 64, rng),
+            n, directed, tries=30,
+        )
     g = LocalGraph(e[:m], n, directed, name=name or f"dcsbm_{n}_{m}")
     return g, labels
 
@@ -146,22 +150,6 @@ def _wedge_ends(
     return walks[walks[:, 2] >= 0][:, [0, 2]]
 
 
-def _add_closure_edges(
-    base: np.ndarray, n: int, directed: bool, m_total: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Top up ``base`` to ``m_total`` edges with wedge-closing edges
-    (u -> w where u -> v -> w exists), preserving power-law endpoints."""
-    g = LocalGraph(base.copy(), n, directed)
-    e = base
-    guard = 0
-    while e.shape[0] < m_total and guard < 30:
-        guard += 1
-        batch = (m_total - e.shape[0]) * 3 + 64
-        e = canonical_edges(np.vstack([e, _wedge_ends(g, batch, rng)]), n, directed)
-    return e
-
-
 def evolving_graph(
     n: int,
     m_old: int,
@@ -174,41 +162,34 @@ def evolving_graph(
 ) -> tuple[LocalGraph, np.ndarray]:
     """Temporal graph: an old snapshot plus future edges.
 
-    Returns ``(old_graph, new_edges)``. ``CLOSURE_FRAC`` of the new edges
-    close open wedges of the old snapshot (triadic closure — the growth
-    mechanism of real social graphs), the rest follow the same DC-SBM model.
+    Returns ``(old_graph, new_edges)``. Two phases grow the old snapshot's
+    edge list with :func:`grow_edges`, so no new edge repeats an old one or
+    another new one; the new edges are the rows past the old ones:
+
+    * ``CLOSURE_FRAC`` of the new edges close open wedges of the old
+      snapshot (triadic closure — the growth mechanism of real social
+      graphs), drawn in at most 60 batches;
+    * the rest follow the same DC-SBM model. The i-th batch of the two
+      phases together, if it is one of these, is the edge list of a DC-SBM
+      seeded ``seed + i``; there are at most 120 batches in all.
     """
     rng = np.random.default_rng(seed)
     g_old, _ = dcsbm(
         n, m_old, n_comm, directed=directed, seed=seed, name=name or "evolving"
     )
-    # both orientations of each old edge and the canonical key of each new
-    # one, so a canonical candidate is fresh iff its own key is absent
-    existing = set(g_old.edge_key_set())  # copy: the graph caches its key set
-    new_edges: list[np.ndarray] = []
+    e, drawn = grow_edges(
+        g_old.edges, g_old.m + int(m_new * CLOSURE_FRAC),
+        lambda short: _wedge_ends(g_old, min(4 * short + 64, 500_000), rng),
+        n, directed, tries=60,
+    )
+    seeds = count(seed + drawn + 1)
 
-    def add_fresh(cand: np.ndarray) -> int:
-        keys = cand[:, 0] * np.int64(n) + cand[:, 1]
-        fresh = np.array([k not in existing for k in keys.tolist()], dtype=bool)
-        existing.update(keys[fresh].tolist())
-        new_edges.append(cand[fresh])
-        return int(fresh.sum())
+    def model_edges(short: int) -> np.ndarray:
+        return dcsbm(
+            n, short * 2 + 32, n_comm, directed=directed, seed=next(seeds)
+        )[0].edges
 
-    n_have = 0
-    n_closure_target = int(m_new * CLOSURE_FRAC)
-    guard = 0
-    while n_have < n_closure_target and guard < 60:
-        guard += 1
-        batch = min(4 * (n_closure_target - n_have) + 64, 500_000)
-        wedges = _wedge_ends(g_old, batch, rng)
-        n_have += add_fresh(canonical_edges(wedges, n, directed))
-    # remainder: fresh model edges not in old/new
-    while n_have < m_new and guard < 120:
-        guard += 1
-        g_extra, _ = dcsbm(
-            n, (m_new - n_have) * 2 + 32, n_comm, directed=directed,
-            seed=seed + guard,
-        )
-        n_have += add_fresh(g_extra.edges)
-    out = np.vstack(new_edges)[:m_new] if new_edges else np.empty((0, 2), np.int64)
-    return g_old, out
+    e, _ = grow_edges(
+        e, g_old.m + m_new, model_edges, n, directed, tries=120 - drawn
+    )
+    return g_old, e[g_old.m:][:m_new]

@@ -58,18 +58,17 @@ def reconstruction_precision(
 ) -> dict[int, float]:
     """precision@K for each K in ``ks``. ``sample``: number of candidate
     pairs to draw with seed 0 (None = all pairs)."""
-    keys = g.edge_key_set()
     kmax = max(ks)
     if sample is None:
         top = topk_pairs_numpy(emb, g, kmax)
     else:
         # the paper's 1%-of-all-pairs protocol: edges stay candidates
         rng = np.random.default_rng(0)
-        cand = sample_distinct_pairs(g, sample, rng, frozenset())
+        none = np.empty((0, 2), np.int64)
+        cand = sample_distinct_pairs(g, sample, rng, none)
         scores = emb.score_pairs(cand)
         order = np.argsort(-scores, kind="stable")[:kmax]
         top = cand[order]
-    is_edge = np.array(
-        [(u * np.int64(g.n) + v) in keys for u, v in top], dtype=bool
-    )
+    n, a = np.int64(g.n), g.arcs
+    is_edge = np.isin(top[:, 0] * n + top[:, 1], a[:, 0] * n + a[:, 1])
     return precision_at_k(is_edge, ks)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.edgelist import LocalGraph
+from repro.graphs.edgelist import LocalGraph, grow_edges
 
 
 @dataclass
@@ -21,40 +21,25 @@ class LinkSplit:
 
 
 def sample_distinct_pairs(
-    g: LocalGraph, count: int, rng: np.random.Generator, skip: set | frozenset
+    g: LocalGraph, count: int, rng: np.random.Generator, avoid: np.ndarray
 ) -> np.ndarray:
-    """Uniformly sample ``count`` distinct node pairs of ``g`` whose keys
-    (u*n+v) are not in ``skip`` (ordered pairs when directed, u<v otherwise;
-    no self pairs). Raises RuntimeError when 200 batches do not find them."""
+    """Uniformly sample ``count`` distinct node pairs of ``g`` that are not
+    rows of ``avoid``, a canonical edge array of ``g``'s directedness
+    (ordered pairs when directed, u<v otherwise; no self pairs). Raises
+    RuntimeError when 200 batches do not find them."""
     n = g.n
-    # starts with an empty block, so count = 0 returns a (0, 2) array
-    out: list[np.ndarray] = [np.zeros((0, 2), np.int64)]
-    have = 0
-    seen: set[int] = set()
-    guard = 0
-    while have < count and guard < 200:
-        guard += 1
-        batch = (count - have) * 2 + 32
-        u = rng.integers(0, n, batch)
-        v = rng.integers(0, n, batch)
-        ok = u != v
-        u, v = u[ok], v[ok]
-        if not g.directed:
-            u, v = np.minimum(u, v), np.maximum(u, v)
-        key = u * np.int64(n) + v
-        keep = []
-        for i, k in enumerate(key.tolist()):
-            if k in skip or k in seen:
-                continue
-            seen.add(k)
-            keep.append(i)
-        if keep:
-            sel = np.array(keep)
-            out.append(np.stack([u[sel], v[sel]], axis=1))
-            have += len(keep)
-    if have < count:
+
+    def draw(short: int) -> np.ndarray:
+        batch = short * 2 + 32
+        return np.stack(
+            [rng.integers(0, n, batch), rng.integers(0, n, batch)], axis=1
+        )
+
+    held = len(avoid)
+    e, _ = grow_edges(avoid, held + count, draw, n, g.directed, tries=200)
+    if len(e) < held + count:
         raise RuntimeError(f"could not sample {count} distinct pairs")
-    return np.vstack(out)[:count]
+    return e[held:][:count]
 
 
 def sample_negative_pairs(
@@ -62,7 +47,7 @@ def sample_negative_pairs(
 ) -> np.ndarray:
     """Uniformly sample ``count`` distinct node pairs that are not edges of
     ``g`` (ordered pairs when directed, u<v otherwise; no self pairs)."""
-    return sample_distinct_pairs(g, count, rng, g.edge_key_set())
+    return sample_distinct_pairs(g, count, rng, g.edges)
 
 
 def link_prediction_split(

@@ -11,6 +11,7 @@ from repro.graphs.edgelist import random_walks
 from repro.graphs.generators import dcsbm, erdos_renyi
 from repro.tasks.linkpred import link_prediction_auc
 from repro.tasks.split import link_prediction_split
+from tests.toy_graphs import arc_keys
 
 ALL = sorted(METHODS)
 
@@ -94,7 +95,7 @@ def test_directed_handling():
 def test_random_walks_follow_edges(small_graph):
     rng = np.random.default_rng(0)
     walks = random_walks(small_graph, np.arange(50), 10, rng)
-    keys = small_graph.edge_key_set()
+    keys = arc_keys(small_graph)
     for row in walks:
         for a, b in zip(row[:-1], row[1:]):
             if a >= 0 and b >= 0:

@@ -22,6 +22,7 @@ from repro.graphs.edgelist import (
     LocalGraph,
     SparkGraph,
     canonical_edges,
+    grow_edges,
     jds_plan,
     jds_product,
 )
@@ -54,6 +55,29 @@ def test_canonical_rejects_out_of_range():
 def test_canonical_empty():
     e = canonical_edges(np.empty((0, 2)), 3, directed=False)
     assert e.shape == (0, 2)
+
+
+def test_grow_edges_keeps_held_first_and_counts_batches():
+    held = np.array([[1, 2], [0, 3]])
+    batches = [
+        np.array([[2, 1], [3, 3], [4, 0], [1, 2]]),  # held, loop, new, held
+        np.array([[0, 4], [3, 2], [1, 4], [2, 3]]),  # drawn, new, new, drawn
+        np.array([[0, 1]]),
+    ]
+    asked = []
+
+    def draw(short):
+        asked.append(short)
+        return batches[len(asked) - 1]
+
+    e, drawn = grow_edges(held, 10, draw, 5, False, tries=2)
+    assert e.tolist() == [[1, 2], [0, 3], [0, 4], [2, 3], [1, 4]]
+    assert drawn == 2 and asked == [8, 7]  # stopped by tries, short of 10
+    asked.clear()
+    e, drawn = grow_edges(held, 3, draw, 5, False, tries=9)
+    assert e.tolist() == [[1, 2], [0, 3], [0, 4]]
+    assert drawn == 1 and asked == [1]  # stopped once 3 edges are held
+    assert grow_edges(held, 2, draw, 5, False, tries=9)[1] == 0
 
 
 # ---------------------------------------------------------------- LocalGraph
@@ -293,12 +317,6 @@ def test_csr_row_order_is_stable(make):
         counts = np.bincount(a[:, c], minlength=g.n)
         assert np.array_equal(indptr, np.concatenate([[0], np.cumsum(counts)]))
         assert np.array_equal(indices, a[order, 1 - c])
-
-
-def test_edge_key_set():
-    g = directed_cycle(3)
-    keys = g.edge_key_set()
-    assert (0 * 3 + 1) in keys and (1 * 3 + 0) not in keys
 
 
 def test_m_counts_input_edges_once():

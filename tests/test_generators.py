@@ -9,7 +9,7 @@ from repro.graphs.generators import (
     example_graph,
 )
 from repro.graphs.stats import evolving_stats_row, stats_row
-from tests.toy_graphs import directed_cycle
+from tests.toy_graphs import arc_keys, directed_cycle
 
 
 def test_example_graph_shape():
@@ -74,7 +74,7 @@ def test_dcsbm_deterministic():
 def test_evolving_graph_new_edges_fresh():
     g_old, new = evolving_graph(150, 700, 250, 3, seed=8)
     assert new.shape[0] == 250
-    keys = g_old.edge_key_set()
+    keys = arc_keys(g_old)
     for u, v in new:
         assert u * g_old.n + v not in keys
 

@@ -5,7 +5,8 @@ benchmark tracer patches methods by their names). An import alone, such as
 a package ``__init__`` re-export, is not a reference. And the DataFrame
 layer stays fenced: only ``linalg/longmat.py`` may import
 ``pyspark.sql.functions``, and nothing imports ``duckdb``. And only
-``graphs/edgelist.py`` reads a graph's CSR arrays."""
+``graphs/edgelist.py`` reads a graph's CSR arrays or makes an edge list
+canonical."""
 import ast
 from pathlib import Path
 
@@ -105,15 +106,30 @@ def test_dataframe_layer_stays_fenced():
     }
 
 
-def test_csr_readers_stay_fenced():
-    # the JDS plans and random_walks read csr()/csr_t(); with no reader
-    # elsewhere, what a graph caches is decided in one module
+def _modules_calling(names: set[str]) -> set[str]:
+    """The modules of ``src/repro`` that call a function or a method named
+    in ``names``."""
     src = ROOT / "src" / "repro"
     callers = set()
     for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in ("csr", "csr_t")):
-                callers.add(path.relative_to(src).as_posix())
-    assert callers == {"graphs/edgelist.py"}
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else (
+                    f.id if isinstance(f, ast.Name) else None)
+                if name in names:
+                    callers.add(path.relative_to(src).as_posix())
+    return callers
+
+
+def test_csr_readers_stay_fenced():
+    # the JDS plans and random_walks read csr()/csr_t(); with no reader
+    # elsewhere, what a graph caches is decided in one module
+    assert _modules_calling({"csr", "csr_t"}) == {"graphs/edgelist.py"}
+
+
+def test_canonical_edges_stays_fenced():
+    # LocalGraph.from_edges and grow_edges make edge lists canonical; every
+    # other module grows its edge lists through grow_edges, so there is one
+    # edge format and one loop that keeps it
+    assert _modules_calling({"canonical_edges"}) == {"graphs/edgelist.py"}

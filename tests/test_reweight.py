@@ -156,6 +156,40 @@ def test_objective_decreases_in_strict_mode():
         prev = cur
 
 
+@pytest.mark.parametrize("backward", [True, False], ids=["backward", "forward"])
+def test_strict_sweep_minimizes_the_objective_node_by_node(backward):
+    # a strict chunk=1 sweep sets each weight, in the rng's order, to the
+    # minimizer of Eq. (6) along that weight, floored at 1/n. The objective
+    # is quadratic in one weight, so three objective() evaluations give the
+    # vertex: this checks the sweep against the objective itself, not
+    # against a copy of its per-node terms
+    g = dcsbm(60, 400, 3, directed=True, seed=7)[0]
+    X, Y = approxppr(g, 4, seed=0)
+    n, lam = g.n, 1.0
+    wf, wb = np.maximum(g.d_out, 1 / n), np.ones(n)
+    update = update_backward_weights if backward else update_forward_weights
+    got = update(X, Y, wf, wb, g.d_out, g.d_in, lam=lam, strict=True,
+                 chunk=1, rng=np.random.default_rng(3))
+    w = (wb if backward else wf).copy()
+
+    def f(v, t):
+        w[v] = t
+        wf_t, wb_t = (wf, w) if backward else (w, wb)
+        return objective(X, Y, wf_t, wb_t, g.d_out, g.d_in, lam)
+
+    eps = np.finfo(X.dtype).eps
+    for v in np.random.default_rng(3).permutation(n):
+        f0, f1, f2 = f(v, 0.0), f(v, 1.0), f(v, 2.0)
+        a = (f2 - 2 * f1 + f0) / 2  # the curvature b1 + b2 + lam
+        vertex = (f0 - f1 + a) / (2 * a)
+        # objective() sums n squared residuals, each value exact to about
+        # n eps of the largest; the second differences and the quotient
+        # carry that error, scaled by 1/a, into the vertex
+        tol = n * eps * max(f0, f1, f2) / a * (1 + 2 * abs(vertex))
+        assert abs(got[v] - max(1 / n, vertex)) <= tol, (v, got[v], vertex)
+        w[v] = got[v]
+
+
 @pytest.mark.parametrize(
     "n,m", [(60, 400), (300, 2500)], ids=["n60", "n300"]
 )

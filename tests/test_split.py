@@ -4,6 +4,7 @@ import pytest
 
 from repro.graphs.generators import dcsbm, erdos_renyi
 from repro.tasks.split import link_prediction_split, sample_negative_pairs
+from tests.toy_graphs import arc_keys
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -19,7 +20,7 @@ def test_split_sizes(directed):
 def test_split_no_leakage():
     g = dcsbm(150, 900, 3, seed=2)[0]
     sp = link_prediction_split(g, seed=3)
-    train_keys = sp.train.edge_key_set()
+    train_keys = arc_keys(sp.train)
     pos = sp.test_pairs[sp.test_labels == 1]
     for u, v in pos:
         assert u * g.n + v not in train_keys
@@ -28,7 +29,7 @@ def test_split_no_leakage():
 def test_split_positives_are_original_edges():
     g = erdos_renyi(100, 400, seed=4)
     sp = link_prediction_split(g, seed=5)
-    keys = g.edge_key_set()
+    keys = arc_keys(g)
     pos = sp.test_pairs[sp.test_labels == 1]
     for u, v in pos:
         assert u * g.n + v in keys
@@ -37,7 +38,7 @@ def test_split_positives_are_original_edges():
 def test_split_negatives_are_nonedges():
     g = erdos_renyi(100, 400, directed=True, seed=6)
     sp = link_prediction_split(g, seed=7)
-    keys = g.edge_key_set()
+    keys = arc_keys(g)
     neg = sp.test_pairs[sp.test_labels == 0]
     for u, v in neg:
         assert u * g.n + v not in keys

@@ -87,13 +87,14 @@ def test_reconstruction_sampled_protocol(bundle, nrp_emb):
 
 def test_sample_candidate_pairs_distinct(bundle):
     g, _ = bundle
-    cand = sample_distinct_pairs(g, 1000, np.random.default_rng(1), frozenset())
+    none = np.empty((0, 2), np.int64)
+    cand = sample_distinct_pairs(g, 1000, np.random.default_rng(1), none)
     keys = cand[:, 0] * g.n + cand[:, 1]
     assert len(set(keys.tolist())) == 1000
     assert np.all(cand[:, 0] < cand[:, 1])
     # 3 nodes have only 3 distinct undirected pairs: a 4th cannot be drawn
     with pytest.raises(RuntimeError):
-        sample_distinct_pairs(ring(3), 4, np.random.default_rng(1), frozenset())
+        sample_distinct_pairs(ring(3), 4, np.random.default_rng(1), none)
 
 
 def test_directed_topk_allows_both_orientations():
