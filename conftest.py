@@ -56,8 +56,8 @@ def spark() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch); the per-session configs are ``build_session``'s, the
-    same as every experiment run's.
+    pre-JVM-launch); the session is built by ``build_session``, as every
+    experiment run's is.
     """
     from repro.experiments.harness import build_session
 

@@ -3,7 +3,7 @@ Reweighted Personalized PageRank" (NRP, VLDB 2020) on PySpark.
 
 Layout (see DESIGN.md):
   graphs/      edge-list substrate + synthetic dataset generators
-  linalg/      block-Krylov SVD (+ long-format matrices the tracer patches)
+  linalg/      block-Krylov SVD (+ the LongMatrix names the tracer patches)
   ppr/         dense personalized-PageRank oracle (numpy)
   core/        the paper's contribution: ApproxPPR, reweighting, NRP
   baselines/   competitor embedding methods (5 groups, 10 methods)

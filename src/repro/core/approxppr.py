@@ -47,25 +47,6 @@ def ppr_cols(ops, E: np.ndarray, alpha: float, iters: int) -> np.ndarray:
     return alpha * E + ppr_loop(ops, ops.pmv(E), alpha, iters)
 
 
-def _power(
-    g: LocalGraph,
-    provider: LocalGraph | SparkGraph,
-    U: np.ndarray,
-    sig: np.ndarray,
-    V: np.ndarray,
-    alpha: float,
-    l1: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lines 2-5, with lines 3-5 run by ``provider.columns``."""
-    # line 2: X_1 = D^-1 U sqrt(S), Y = V sqrt(S); dangling rows -> 0
-    root = np.sqrt(np.clip(sig, 0.0, None))
-    d = g.d_out
-    dinv = np.where(d > 0, 1.0 / np.maximum(d, 1.0), 0.0)
-    X1 = dinv[:, None] * U * root[None, :]
-    Y = V * root[None, :]
-    return provider.columns(partial(ppr_loop, alpha=alpha, l1=l1), X1), Y
-
-
 def approxppr(
     g: LocalGraph,
     k2: int,
@@ -82,16 +63,24 @@ def approxppr(
     backend builds (and afterwards releases) a :class:`SparkGraph`."""
     if g.n < 1:
         raise ValueError("ApproxPPR needs a graph with at least one node")
-    if backend == "local":
-        U, sig, V = bksvd_local(g, k2, eps=eps, q=q, seed=seed)
-        return _power(g, g, U, sig, V, alpha, l1)
-    if backend != "spark":
+    if backend not in ("local", "spark"):
         raise ValueError(f"unknown backend {backend!r}")
-    if spark is None:
+    if backend == "spark" and spark is None:
         raise ValueError("spark backend requires a SparkSession")
-    sg = SparkGraph(spark, g)
+    provider = g if backend == "local" else SparkGraph(spark, g)
     try:
-        U, sig, V = bksvd_spark(sg, k2, eps=eps, q=q, seed=seed)
-        return _power(g, sg, U, sig, V, alpha, l1)
+        # line 1; the BKSVD names are looked up per call, not bound once,
+        # because the benchmark tracer patches them on this module
+        svd = bksvd_local if backend == "local" else bksvd_spark
+        U, sig, V = svd(provider, k2, eps=eps, q=q, seed=seed)
+        # line 2: X_1 = D^-1 U sqrt(S), Y = V sqrt(S); dangling rows -> 0
+        root = np.sqrt(np.clip(sig, 0.0, None))
+        d = g.d_out
+        dinv = np.where(d > 0, 1.0 / np.maximum(d, 1.0), 0.0)
+        X1 = dinv[:, None] * U * root[None, :]
+        # lines 3-5, one column-separable chain on the provider
+        X = provider.columns(partial(ppr_loop, alpha=alpha, l1=l1), X1)
+        return X, V * root[None, :]
     finally:
-        sg.unpersist()
+        if provider is not g:
+            provider.unpersist()

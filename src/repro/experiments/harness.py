@@ -61,13 +61,7 @@ def build_session(app: str) -> SparkSession:
     """The SparkSession of every experiment, test and benchmark run. Master
     and driver memory come from the launch (``PYSPARK_SUBMIT_ARGS`` or
     spark-submit), else pyspark's ``local[*]``."""
-    return (
-        SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "64")
-        .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
-        .getOrCreate()
-    )
+    return SparkSession.builder.appName(app).getOrCreate()
 
 
 def _print(df: pd.DataFrame, title: str) -> pd.DataFrame:

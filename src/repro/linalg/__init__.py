@@ -1,2 +1,3 @@
-"""Randomized block-Krylov SVD over a product provider, plus long-format
-DataFrame matrices (not on the NRP path; kept for the benchmark tracer)."""
+"""Randomized block-Krylov SVD over a product provider, plus the
+``LongMatrix`` method names the benchmark tracer patches (no code behind
+them)."""

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.nrp import nrp
 from repro.core.approxppr import approxppr
+from repro.core.reweight import update_backward_weights, update_forward_weights
 from repro.graphs.edgelist import LocalGraph
 from repro.graphs.generators import dcsbm, erdos_renyi, example_graph
 
@@ -42,6 +43,20 @@ def test_reweighting_fixes_motivating_example():
     nrp_s24 = res.X[1] @ res.Y[3]
     nrp_s97 = res.X[8] @ res.Y[6]
     assert nrp_s24 > nrp_s97  # ...and fixed by node reweighting
+
+
+def test_reweighting_starts_from_out_degrees():
+    # Alg. 3 line 2: w-> = d_out (floored at 1/n), w<- = 1; one epoch is one
+    # backward and one forward sweep drawing from default_rng(seed + 1)
+    g = dcsbm(200, 1500, 4, directed=True, seed=5)[0]
+    res = nrp(g, 8, lam=1.0, l2=1, seed=3)
+    rng = np.random.default_rng(4)
+    wf = np.maximum(g.d_out.astype(np.float64), 1.0 / g.n)
+    wb = update_backward_weights(res.X0, res.Y0, wf, np.ones(g.n), g.d_out,
+                                 g.d_in, lam=1.0, rng=rng)
+    wf = update_forward_weights(res.X0, res.Y0, wf, wb, g.d_out, g.d_in,
+                                lam=1.0, rng=rng)
+    assert np.array_equal(res.wb, wb) and np.array_equal(res.wf, wf)
 
 
 def test_weights_bounded_below():

@@ -2,11 +2,10 @@
 class defined in ``src/repro`` is referenced from ``src/``, ``benchmarks/``,
 ``nrpbench/`` or ``jobs/``, by a name, an attribute or a string (the
 benchmark tracer patches methods by their names). An import alone, such as
-a package ``__init__`` re-export, is not a reference. And the DataFrame
-layer stays fenced: only ``linalg/longmat.py`` may import
-``pyspark.sql.functions``, and nothing imports ``duckdb``. And only
-``graphs/edgelist.py`` reads a graph's CSR arrays or makes an edge list
-canonical."""
+a package ``__init__`` re-export, is not a reference. And no DataFrame
+layer comes back: no module, tests included, imports
+``pyspark.sql.functions`` or ``duckdb``. And only ``graphs/edgelist.py``
+reads a graph's CSR arrays or makes an edge list canonical."""
 import ast
 from pathlib import Path
 
@@ -94,16 +93,17 @@ def _imported_modules(tree: ast.Module) -> set[str]:
 
 
 def test_dataframe_layer_stays_fenced():
-    importers = {"duckdb": [], "pyspark.sql.functions": []}
-    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+    # Spark runs only SparkGraph's broadcast jobs; no module builds
+    # DataFrame columns or queries, so none needs these imports
+    fenced = ("duckdb", "pyspark.sql.functions")
+    importers = []
+    for path in sorted(p for top in SCANNED + ("tests",)
+                       for p in (ROOT / top).rglob("*.py")):
         mods = _imported_modules(ast.parse(path.read_text(), str(path)))
-        rel = path.relative_to(ROOT / "src" / "repro").as_posix()
-        for fenced, found in importers.items():
-            if any(m == fenced or m.startswith(fenced + ".") for m in mods):
-                found.append(rel)
-    assert importers == {
-        "duckdb": [], "pyspark.sql.functions": ["linalg/longmat.py"],
-    }
+        rel = path.relative_to(ROOT).as_posix()
+        importers += [(rel, m) for m in sorted(mods)
+                      if any(m == f or m.startswith(f + ".") for f in fenced)]
+    assert importers == []
 
 
 def _modules_calling(names: set[str]) -> set[str]:
