@@ -6,7 +6,7 @@ Layout (see DESIGN.md):
   linalg/      block-Krylov SVD (+ the LongMatrix names the tracer patches)
   ppr/         dense personalized-PageRank oracle (numpy)
   core/        the paper's contribution: ApproxPPR, reweighting, NRP
-  baselines/   competitor embedding methods (5 groups, 10 methods)
+  baselines/   competitor embedding methods (3 groups, 10 methods)
   ml/          logistic-regression substrate (no sklearn offline)
   tasks/       link prediction, graph reconstruction, node classification
   experiments/ per-table harness runners

@@ -7,13 +7,11 @@ as the paper does when reporting them on directed graphs.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
-
 import numpy as np
 
 from repro.embedding import Embedding
 from repro.graphs.edgelist import LocalGraph
-from repro.linalg.bksvd import bksvd_local
+from repro.linalg.bksvd import Products, bksvd_local
 from repro.ppr.exact import ppr_dense
 
 #: Krylov depth of every baseline's BKSVD (NRP derives its own from eps)
@@ -26,23 +24,11 @@ def _symmetrized(g: LocalGraph) -> LocalGraph:
     return LocalGraph.from_edges(g.edges, g.n, directed=False, name=g.name + "_sym")
 
 
-class _Products(NamedTuple):
-    """Product provider over an n x n operator given by its two products:
-    ProNE's normalized adjacency, NetMF's and STRAP's dense proximity."""
-
-    n: int
-    spmv: Callable[[np.ndarray], np.ndarray]
-    spmv_t: Callable[[np.ndarray], np.ndarray]
-
-    def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
-        return fn(self, X)
-
-
 def _dense_bksvd(
     M: np.ndarray, k: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """BKSVD of a dense n x n matrix (NetMF's and STRAP's proximity)."""
-    ops = _Products(M.shape[0], lambda x: M @ x, lambda x: M.T @ x)
+    ops = Products(M.shape[0], lambda x: M @ x, lambda x: M.T @ x)
     return bksvd_local(ops, k, q=BASELINE_Q, seed=seed)
 
 
@@ -117,7 +103,7 @@ def prone(g: LocalGraph, k: int, *, seed: int = 0) -> Embedding:
         return dinv_sqrt[:, None] * gs.spmv(dinv_sqrt[:, None] * x)
 
     U, s, _ = bksvd_local(
-        _Products(gs.n, a_sym, a_sym), k, q=BASELINE_Q, seed=seed
+        Products(gs.n, a_sym, a_sym), k, q=BASELINE_Q, seed=seed
     )
     X = U * np.sqrt(s)[None, :]
     # Laplacian L = I - A_sym has spectrum in [0, 2]; rescale to

@@ -46,7 +46,7 @@ from repro.ppr.exact import ppr_dense
 from repro.tasks.classification import node_classification_f1
 from repro.tasks.linkpred import link_prediction_auc
 from repro.tasks.reconstruction import reconstruction_precision
-from repro.tasks.split import LinkSplit, link_prediction_split, sample_negative_pairs
+from repro.tasks.split import LinkSplit, link_prediction_split, sample_distinct_pairs
 
 #: paper Table 1 (v7 row is the corrected value — DESIGN.md §4)
 TABLE1_PAPER = {
@@ -351,11 +351,9 @@ def evolving_table(
         g_old, new_edges, _ = load_evolving(ds)
         rng = np.random.default_rng(0)
         # negatives: pairs absent from both snapshots
-        union = LocalGraph(
-            np.vstack([g_old.edges, new_edges]), g_old.n, g_old.directed,
-            name=ds + "_union",
+        neg = sample_distinct_pairs(
+            g_old, len(new_edges), rng, np.vstack([g_old.edges, new_edges])
         )
-        neg = sample_negative_pairs(union, len(new_edges), rng)
         pairs = np.vstack([new_edges, neg])
         labels = np.concatenate(
             [np.ones(len(new_edges), dtype=np.int64),

@@ -4,11 +4,11 @@ Used by ApproxPPR (paper Algorithm 1, line 1) to factorize the adjacency
 matrix A ~= U S V^T with a (1+eps) spectral-norm guarantee. The matrix is
 touched only through a product provider's ``n`` and ``columns`` (see
 :mod:`repro.graphs.edgelist`), so one algorithm serves both backends:
-:func:`bksvd_local` runs it over any provider, a ``LocalGraph`` in process,
-and :func:`bksvd_spark` over a :class:`~repro.graphs.edgelist.SparkGraph`,
-where the whole Krylov chain, :func:`krylov_chain`, is one Spark job over
-column slices of Omega. Only small algebra on k-sized blocks stays on the
-driver.
+:func:`bksvd_local` runs it over any provider in process, a ``LocalGraph``
+or a :class:`Products`, and :func:`bksvd_spark` over a
+:class:`~repro.graphs.edgelist.SparkGraph`, where the whole Krylov chain,
+:func:`krylov_chain`, is one Spark job over column slices of Omega. Only
+small algebra on k-sized blocks stays on the driver.
 
 Algorithm (square A, n x n): draw Gaussian Omega (n x k); build the Krylov
 block K = [A Om, (A A^T) A Om, ..., (A A^T)^q A Om], each column scaled to
@@ -26,6 +26,7 @@ from __future__ import annotations
 import sys
 import warnings
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -90,6 +91,19 @@ def krylov_chain(ops, omega: np.ndarray, q: int) -> np.ndarray:
         if i < q:
             b = _unit(ops.spmv(t))
     return out
+
+
+class Products(NamedTuple):
+    """Product provider over an n x n operator given by its two products,
+    for an operator that is not a graph's adjacency: ProNE's normalized
+    adjacency, NetMF's and STRAP's dense proximity."""
+
+    n: int
+    spmv: Callable[[np.ndarray], np.ndarray]
+    spmv_t: Callable[[np.ndarray], np.ndarray]
+
+    def columns(self, fn: Callable, X: np.ndarray) -> np.ndarray:
+        return fn(self, X)
 
 
 def bksvd_local(

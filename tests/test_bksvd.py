@@ -6,23 +6,11 @@ import pytest
 
 from repro.graphs.edgelist import SparkGraph
 from repro.graphs.generators import dcsbm, erdos_renyi, example_graph
-from repro.linalg.bksvd import bksvd_local, bksvd_spark, default_q
+from repro.linalg.bksvd import Products, bksvd_local, bksvd_spark, default_q
 
 
-class _Dense:
-    """Product provider over a dense matrix."""
-
-    def __init__(self, A):
-        self.A, self.n = A, A.shape[0]
-
-    def spmv(self, X):
-        return self.A @ X
-
-    def spmv_t(self, X):
-        return self.A.T @ X
-
-    def columns(self, fn, X):
-        return fn(self, X)
+def _dense(A):
+    return Products(A.shape[0], lambda x: A @ x, lambda x: A.T @ x)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -30,7 +18,7 @@ class _Dense:
 def test_bksvd_local_spectral_bound(seed, k):
     g = erdos_renyi(60, 240, seed=seed)
     A = g.adjacency()
-    U, s, V = bksvd_local(_Dense(A), k, eps=0.2, seed=seed)
+    U, s, V = bksvd_local(_dense(A), k, eps=0.2, seed=seed)
     exact = np.linalg.svd(A, compute_uv=False)
     # Theorem: ||A - U S V^T||_2 <= (1 + eps) sigma_{k+1}
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
@@ -40,7 +28,7 @@ def test_bksvd_local_spectral_bound(seed, k):
 def test_bksvd_singular_values_close_to_exact():
     g = dcsbm(80, 600, 4, seed=2)[0]
     A = g.adjacency()
-    _, s, _ = bksvd_local(_Dense(A), 4, eps=0.1, q=8, seed=0)
+    _, s, _ = bksvd_local(_dense(A), 4, eps=0.1, q=8, seed=0)
     exact = np.linalg.svd(A, compute_uv=False)[:4]
     np.testing.assert_allclose(s, exact, rtol=0.05)
 
@@ -48,7 +36,7 @@ def test_bksvd_singular_values_close_to_exact():
 def test_bksvd_orthonormal_factors():
     g = erdos_renyi(50, 200, seed=3)
     A = g.adjacency()
-    U, s, V = bksvd_local(_Dense(A), 3, seed=1)
+    U, s, V = bksvd_local(_dense(A), 3, seed=1)
     np.testing.assert_allclose(U.T @ U, np.eye(3), atol=1e-8)
     np.testing.assert_allclose(V.T @ V, np.eye(3), atol=1e-8)
     assert np.all(np.diff(s) <= 1e-9)  # descending
@@ -57,7 +45,7 @@ def test_bksvd_orthonormal_factors():
 def test_bksvd_directed_asymmetric():
     g = erdos_renyi(40, 160, directed=True, seed=4)
     A = g.adjacency()
-    U, s, V = bksvd_local(_Dense(A), 4, q=8, seed=0)
+    U, s, V = bksvd_local(_dense(A), 4, q=8, seed=0)
     exact = np.linalg.svd(A, compute_uv=False)
     err = np.linalg.norm(A - U @ np.diag(s) @ V.T, 2)
     assert err <= 1.3 * exact[4] + 1e-8
@@ -73,7 +61,7 @@ def test_bksvd_spark_matches_local(spark):
     g = example_graph()
     sg = SparkGraph(spark, g)
     A = g.adjacency()
-    U_l, s_l, V_l = bksvd_local(_Dense(A), 2, q=6, seed=0)
+    U_l, s_l, V_l = bksvd_local(_dense(A), 2, q=6, seed=0)
     U_s, s_s, V_s = bksvd_spark(sg, 2, q=6, seed=0)
     # same algorithm, same seed: singular values agree tightly; factors up to sign
     np.testing.assert_allclose(s_s, s_l, rtol=1e-6)

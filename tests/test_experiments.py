@@ -24,6 +24,9 @@ def test_runs_results_and_manifest_agree():
     manifest = json.loads((results / "MANIFEST.json").read_text())
     stems = {p.stem for p in results.glob("*.csv")}
     assert stems == set(H.RUNS) == set(manifest)
+    # every CSV was written by committed code
+    dirty = [n for n, e in manifest.items() if e["commit"].endswith("-dirty")]
+    assert dirty == []
 
 
 def test_cli_help_lists_every_run():
